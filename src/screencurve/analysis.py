@@ -17,6 +17,9 @@ five-term alternating series
 
 for |r| < 1e-4 (next term below 1e-21), so values near epsilon = 1 are
 computed to full precision instead of losing digits to the subtraction.
+Below r = -1/2 (LR+ = a/c < 1/2) the logarithm is taken of a/c itself:
+1 + r rounds away the low digits of a small a/c, and to zero below
+a/c = 2^-53.
 
 The quadrature companion is an independent oracle: depth-limited adaptive
 Simpson with error estimated from the two-scale rule difference |S2 - S|/15
@@ -26,19 +29,24 @@ tests; neither is derived from the other.
 A fictitious perfectly informative test appears in the limit epsilon -> 2,
 where the area tends to 1; ``fts_limit_sweep`` walks a = b = 1 - 2^-k
 toward that corner.
+
+Comparison.  In odds form the curve is rho/(1 - rho) = L * phi/(1 - phi)
+with L = LR+ = a/c, so the test with the larger L has the larger predictive
+value at every interior prevalence, and the largest gap between two curves
+is tanh(|ln(L2/L1)|/4).  ``compare_tests`` orders tests by L alone; for
+tests of equal epsilon this is the sign rule (epsilon - 1)(b2 - b1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
 from .core import ScreeningTest
 from .errors import (
-    ComparatorInconsistencyError,
     DegenerateTestError,
     NonConvergenceError,
     ParameterError,
@@ -47,6 +55,7 @@ from .geometry import (
     BetaGeometry,
     ChordLine,
     ThresholdPoint,
+    _reject_degenerate,
     beta_geometry,
     endpoint_chord_line,
     lr_positive_direct,
@@ -67,33 +76,11 @@ __all__ = [
 #: Quadrature tolerances below this are refused (double precision floor).
 MIN_QUADRATURE_TOL = 1e-13
 
-#: Number of interior grid points used by the comparator's ordering check.
-COMPARISON_GRID_POINTS = 1000
-
 #: Curve-value differences at or below this are treated as numerically zero.
 NEGLIGIBLE_DIFFERENCE = 1e-12
 
 #: |r| = |epsilon - 1| / (1 - b) below which the series branch is used.
 SERIES_SWITCH = 1e-4
-
-
-def _reject_degenerate_for_area(test: ScreeningTest) -> None:
-    a, b = test.sensitivity, test.specificity
-    if a == 0.0 and b == 1.0:
-        raise DegenerateTestError(
-            f"area under the curve is indeterminate for {test.describe()}",
-            limit=None,
-        )
-    if a == 0.0:
-        raise DegenerateTestError(
-            "area under the curve is degenerate at sensitivity=0 (limit 0)",
-            limit=0.0,
-        )
-    if b == 1.0:
-        raise DegenerateTestError(
-            "area under the curve is degenerate at specificity=1 (limit 1)",
-            limit=1.0,
-        )
 
 
 def auc_closed_form(test: ScreeningTest) -> float:
@@ -103,7 +90,7 @@ def auc_closed_form(test: ScreeningTest) -> float:
     computed a - (1 - b) is exactly zero).  Raises DegenerateTestError for
     sensitivity 0 or specificity 1, carrying the limiting area.
     """
-    _reject_degenerate_for_area(test)
+    _reject_degenerate(test, "area under the curve")
     a = test.sensitivity
     c = 1.0 - test.specificity
     r = (a - c) / c
@@ -112,16 +99,9 @@ def auc_closed_form(test: ScreeningTest) -> float:
     if abs(r) < SERIES_SWITCH:
         core = 0.5 - r / 3.0 + r * r / 4.0 - r**3 / 5.0 + r**4 / 6.0
     else:
-        core = (r - math.log1p(r)) / (r * r)
+        log_lr = math.log(a / c) if r < -0.5 else math.log1p(r)
+        core = (r - log_lr) / (r * r)
     return (a / c) * core
-
-
-def _curve_values(test: ScreeningTest, phis: np.ndarray) -> np.ndarray:
-    """Vectorized curve values for a nondegenerate test."""
-    a = test.sensitivity
-    c = 1.0 - test.specificity
-    positives = a * phis
-    return positives / (positives + c * (1.0 - phis))
 
 
 def auc_quadrature(
@@ -148,9 +128,14 @@ def auc_quadrature(
         )
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
         raise ParameterError(f"max_depth must be an integer >= 1, got {max_depth!r}")
-    _reject_degenerate_for_area(test)
+    _reject_degenerate(test, "area under the curve")
+    a = test.sensitivity
+    c = 1.0 - test.specificity
 
-    f: Callable[[np.ndarray], np.ndarray] = lambda x: _curve_values(test, x)
+    def f(phis: np.ndarray) -> np.ndarray:
+        positives = a * phis
+        return positives / (positives + c * (1.0 - phis))
+
     left = np.array([0.0])
     right = np.array([1.0])
     f_left = f(left)
@@ -292,13 +277,11 @@ def compare_tests(
 ) -> ComparisonReport:
     """Compare two tests: epsilon equality, pointwise dominance, orderings.
 
-    Dominance is decided on a 1000-point interior prevalence grid.  When the
-    screening coefficients agree within ``eps_tol``, the grid verdict is
-    cross-checked against the analytic sign of (epsilon - 1)(b2 - b1), which
-    determines the pointwise ordering for equal-epsilon pairs; disagreement
-    raises ComparatorInconsistencyError.  Grids whose largest curve
-    difference is at most 1e-12 are reported as "neither" (numerically
-    indistinguishable curves).
+    The test with the larger LR+ dominates: its curve lies above the other's
+    at every interior prevalence.  Pairs whose largest curve gap,
+    tanh(|ln(LR+_2 / LR+_1)| / 4), is at most 1e-12 are reported as
+    "neither" (numerically indistinguishable curves).  ``eps_tol`` only
+    decides ``equal_epsilon``.
 
     Degenerate tests raise with the offending side named.  ``beta_order``
     prefers the smaller angle, ``auc_order`` the larger area; both carry the
@@ -320,34 +303,15 @@ def compare_tests(
     eps_1, eps_2 = report_1.epsilon, report_2.epsilon
     equal = abs(eps_2 - eps_1) <= eps_tol
 
-    grid = np.arange(1, COMPARISON_GRID_POINTS + 1) / (COMPARISON_GRID_POINTS + 1.0)
-    difference = _curve_values(second, grid) - _curve_values(first, grid)
-    max_gap = float(np.max(np.abs(difference)))
-
-    if max_gap <= NEGLIGIBLE_DIFFERENCE:
-        dominant: Literal["first", "second", "neither"] = "neither"
-    else:
-        if bool(np.all(difference > 0.0)):
-            grid_verdict: Literal["first", "second", "neither"] = "second"
-        elif bool(np.all(difference < 0.0)):
-            grid_verdict = "first"
-        else:
-            grid_verdict = "neither"
-        if equal:
-            spread = (0.5 * (eps_1 + eps_2) - 1.0) * (
-                second.specificity - first.specificity
-            )
-            predicted = "second" if spread > 0.0 else "first" if spread < 0.0 else "neither"
-            if predicted != grid_verdict:
-                raise ComparatorInconsistencyError(
-                    "equal-epsilon ordering check failed: grid says "
-                    f"{grid_verdict!r}, sign rule says {predicted!r} for "
-                    f"({first.describe()}) vs ({second.describe()})"
-                )
-        dominant = grid_verdict
-
+    assert report_1.lr_plus is not None and report_2.lr_plus is not None
     assert report_1.beta is not None and report_2.beta is not None
     assert report_1.auc is not None and report_2.auc is not None
+    # Strict reports hold LR+ within [1e-32, 1e16], so the ratio is finite and positive.
+    log_ratio = math.log(report_2.lr_plus / report_1.lr_plus)
+    if math.tanh(abs(log_ratio) / 4.0) <= NEGLIGIBLE_DIFFERENCE:
+        dominant: Literal["first", "second", "neither"] = "neither"
+    else:
+        dominant = "second" if log_ratio > 0.0 else "first"
     return ComparisonReport(
         first=report_1,
         second=report_2,

@@ -8,8 +8,8 @@ sensitivity and specificity approach 1 together).
 
 Exit codes: 0 on success, 1 when the inputs are valid numbers but the
 requested quantity is undefined for them (degenerate tests) or an output
-file cannot be written, 2 for usage errors, malformed catalog files, or
-unreadable inputs.
+file cannot be written, 2 for usage errors (including arguments outside
+their documented domain), malformed catalog files, or unreadable inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .catalog import parse_catalog
 from .cohort import simulate_cohort
 from .core import ScreeningTest, curve_samples
 from .emit import emit_curve_csv, emit_report, format_real, render_json, test_report_payload
-from .errors import ParseError, ScreeningError
+from .errors import ParameterError, ParseError, ScreeningError
 from .svgplot import PlotSpec, render_screening_plane
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
@@ -157,6 +157,8 @@ def _print_report_lines(test: ScreeningTest, out: TextIO) -> None:
     if report.endpoint_chord is not None:
         out.write(f"endpoint-chord slope: {report.endpoint_chord.slope:.6g}\n")
         out.write(f"endpoint-chord intercept: {report.endpoint_chord.intercept:.6g}\n")
+    else:
+        out.write(f"endpoint-chord slope: undefined ({report.absent_reasons['endpoint_chord']})\n")
     if report.auc is not None:
         out.write(f"area under curve: {report.auc:.6g}\n")
     else:
@@ -305,19 +307,17 @@ def cli_dispatch(argv: list[str], stdout: TextIO | None = None, stderr: TextIO |
     runner = _RUNNERS[args.command]
     try:
         return runner(args, out)
-    except ParseError as exc:
+    except (ParseError, ParameterError, _InputError) as exc:
         err.write(f"screencurve: error: {exc}\n")
         return 2
-    except _InputError as exc:
-        err.write(f"screencurve: error: {exc}\n")
-        return 2
-    except ScreeningError as exc:
-        err.write(f"screencurve: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (ScreeningError, OSError) as exc:
         err.write(f"screencurve: error: {exc}\n")
         return 1
 
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -88,7 +88,10 @@ class AbsentEstimateError(ScreeningError):
 
 
 class ComparatorInconsistencyError(ScreeningError):
-    """Internal cross-check failure: grid ordering and analytic sign rule disagree."""
+    """No longer raised: ``compare_tests`` orders tests by LR+ alone.
+
+    Kept so that code which imports or catches it keeps working.
+    """
 
 
 class ParseError(ScreeningError, ValueError):

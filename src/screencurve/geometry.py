@@ -30,7 +30,8 @@ For a test with sensitivity ``a`` and specificity ``b`` (write c = 1 - b):
 
 Degenerate parameters (a = 0 or b = 1) make these quantities collapse onto
 the boundary of their domains; the operations raise typed errors carrying
-the limiting value where a one-sided limit exists.
+the limiting value where a one-sided limit exists.  One table decides, per
+quantity, which error class, message and limit each degenerate case gets.
 """
 
 from __future__ import annotations
@@ -129,28 +130,59 @@ class ChordLine(NamedTuple):
     intercept: float
 
 
-def _reject_degenerate(test: ScreeningTest, quantity: str, *,
-                       limit_a0: float | None, limit_b1: float | None) -> None:
-    """Raise DegenerateTestError for a = 0 / b = 1, carrying the known limit."""
+_JOINTLY_0_0 = "is indeterminate for {test}: sensitivity 0 and specificity 1 jointly leave it 0/0"
+
+#: What each derived quantity raises for a degenerate test, as (error class,
+#: message after the quantity's name, limit) when sensitivity is 0 and
+#: specificity 1 together, when only sensitivity is 0, and when only
+#: specificity is 1.  None leaves the quantity defined.  ``{test}`` in a
+#: message stands for ``test.describe()``.
+_DEGENERATE = {
+    "prevalence threshold": (
+        (DegenerateTestError, _JOINTLY_0_0, None),
+        (DegenerateTestError, "is degenerate at sensitivity=0 (limit 1 as sensitivity -> 0)", 1.0),
+        (DegenerateTestError, "is degenerate at specificity=1 (limit 0 as specificity -> 1)", 0.0),
+    ),
+    "chord pair": (
+        (DegenerateTestError, _JOINTLY_0_0, None),
+        (DegenerateTestError, "is degenerate at sensitivity=0 (limit 0 as sensitivity -> 0)", 0.0),
+        (DegenerateTestError, "is degenerate at specificity=1 (limit 0 as specificity -> 1)", 0.0),
+    ),
+    "threshold forms": (
+        (DegenerateTestError, "are 0/0 when sensitivity is 0 and specificity is 1", None),
+        None,
+        None,
+    ),
+    "curve angle": (
+        (DegenerateAngleError, "is indeterminate for {test}", None),
+        (DegenerateAngleError, "is degenerate at sensitivity=0 (limit pi/2)", math.pi / 2.0),
+        (DegenerateAngleError, "is degenerate at specificity=1 (limit 0)", 0.0),
+    ),
+    "LR+": (
+        (DegenerateTestError, "is 0/0 for {test}", None),
+        (ZeroLRError, "collapses to 0 at sensitivity=0", 0.0),
+        (InfiniteLRError, "diverges at specificity=1 with positive sensitivity", math.inf),
+    ),
+    "area under the curve": (
+        (DegenerateTestError, "is indeterminate for {test}", None),
+        (DegenerateTestError, "is degenerate at sensitivity=0 (limit 0)", 0.0),
+        (DegenerateTestError, "is degenerate at specificity=1 (limit 1)", 1.0),
+    ),
+}
+
+
+def _reject_degenerate(test: ScreeningTest, quantity: str) -> None:
+    """Raise what ``quantity`` raises for sensitivity 0 or specificity 1, if anything."""
     a, b = test.sensitivity, test.specificity
-    if a == 0.0 and b == 1.0:
-        raise DegenerateTestError(
-            f"{quantity} is indeterminate for {test.describe()}: "
-            "sensitivity 0 and specificity 1 jointly leave it 0/0",
-            limit=None,
-        )
-    if a == 0.0:
-        raise DegenerateTestError(
-            f"{quantity} is degenerate at sensitivity=0 "
-            f"(limit {limit_a0:g} as sensitivity -> 0)",
-            limit=limit_a0,
-        )
-    if b == 1.0:
-        raise DegenerateTestError(
-            f"{quantity} is degenerate at specificity=1 "
-            f"(limit {limit_b1:g} as specificity -> 1)",
-            limit=limit_b1,
-        )
+    if a != 0.0 and b != 1.0:
+        return
+    joint = a == 0.0 and b == 1.0
+    case = _DEGENERATE[quantity][0 if joint else 1 if a == 0.0 else 2]
+    if case is not None:
+        error, message, limit = case
+        if joint:
+            message = message.format(test=test.describe())
+        raise error(f"{quantity} {message}", limit=limit)
 
 
 def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:
@@ -158,12 +190,17 @@ def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:
 
     Raises DegenerateTestError when sensitivity is 0 or specificity is 1
     (the threshold escapes to the corners of the unit square; the error
-    carries the limiting prevalence where one exists).
+    carries the limiting prevalence where one exists), and when LR+ is so
+    small (below about 1e-32) that phi_e rounds to its limit 1.
     """
-    _reject_degenerate(test, "prevalence threshold", limit_a0=1.0, limit_b1=0.0)
+    _reject_degenerate(test, "prevalence threshold")
     root_a = math.sqrt(test.sensitivity)
     root_c = math.sqrt(1.0 - test.specificity)
     phi_e = root_c / (root_a + root_c)
+    if phi_e == 1.0:
+        raise DegenerateTestError(
+            f"prevalence threshold rounds to its limit 1 at {test.describe()}", limit=1.0
+        )
     return ThresholdPoint(phi_e=phi_e, rho_e=ppv(test, phi_e))
 
 
@@ -179,11 +216,8 @@ def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
         DegenerateTestError: when sensitivity 0 and specificity 1 jointly
             make the surd form 0/0.
     """
+    _reject_degenerate(test, "threshold forms")
     a, b = test.sensitivity, test.specificity
-    if a == 0.0 and b == 1.0:
-        raise DegenerateTestError(
-            "threshold forms are 0/0 when sensitivity is 0 and specificity is 1"
-        )
     d = test.epsilon - 1.0
     if abs(d) < EPSILON_ONE_TOLERANCE:
         raise EpsilonOneError(
@@ -200,27 +234,20 @@ def beta_geometry(test: ScreeningTest) -> BetaGeometry:
     """Angle geometry (beta, psi, origin slope) for a nondegenerate test.
 
     Raises DegenerateAngleError at sensitivity 0 (beta -> pi/2) or
-    specificity 1 (beta -> 0); the error carries the limiting angle.
+    specificity 1 (beta -> 0), and when LR+ is so small (below about 1e-32)
+    that beta rounds to pi/2; the error carries the limiting angle.
     """
-    a, b = test.sensitivity, test.specificity
-    if a == 0.0 and b == 1.0:
+    _reject_degenerate(test, "curve angle")
+    a = test.sensitivity
+    c = 1.0 - test.specificity
+    psi = math.sqrt(c / a)
+    beta_rad = math.atan(psi)
+    if beta_rad == math.pi / 2.0:
         raise DegenerateAngleError(
-            f"curve angle is indeterminate for {test.describe()}", limit=None
-        )
-    if a == 0.0:
-        raise DegenerateAngleError(
-            "curve angle is degenerate at sensitivity=0 (limit pi/2)",
+            f"curve angle rounds to its limit pi/2 at {test.describe()}",
             limit=math.pi / 2.0,
         )
-    if b == 1.0:
-        raise DegenerateAngleError(
-            "curve angle is degenerate at specificity=1 (limit 0)", limit=0.0
-        )
-    c = 1.0 - b
-    psi = math.sqrt(c / a)
-    return BetaGeometry(
-        beta_rad=math.atan(psi), psi=psi, origin_slope=math.sqrt(a / c)
-    )
+    return BetaGeometry(beta_rad=beta_rad, psi=psi, origin_slope=math.sqrt(a / c))
 
 
 def lr_positive_direct(test: ScreeningTest) -> float:
@@ -231,19 +258,8 @@ def lr_positive_direct(test: ScreeningTest) -> float:
         InfiniteLRError: specificity 1 with positive sensitivity (carries inf).
         ZeroLRError: sensitivity 0 (carries 0.0).
     """
-    a, b = test.sensitivity, test.specificity
-    if a == 0.0 and b == 1.0:
-        raise DegenerateTestError(
-            f"LR+ is 0/0 for {test.describe()}", limit=None
-        )
-    if b == 1.0:
-        raise InfiniteLRError(
-            "LR+ diverges at specificity=1 with positive sensitivity",
-            limit=math.inf,
-        )
-    if a == 0.0:
-        raise ZeroLRError("LR+ collapses to 0 at sensitivity=0", limit=0.0)
-    return a / (1.0 - b)
+    _reject_degenerate(test, "LR+")
+    return test.sensitivity / (1.0 - test.specificity)
 
 
 def lr_positive_from_beta(test: ScreeningTest) -> float:
@@ -275,7 +291,7 @@ def chords_at(test: ScreeningTest, phi: float) -> ChordPair:
         raise DomainError(
             f"chords are undefined at phi={phi:g}: one chord degenerates to a point"
         )
-    _reject_degenerate(test, "chord pair", limit_a0=0.0, limit_b1=0.0)
+    _reject_degenerate(test, "chord pair")
     a = test.sensitivity
     c = 1.0 - test.specificity
     denominator = a * phi + c * (1.0 - phi)

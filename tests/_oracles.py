@@ -67,6 +67,16 @@ SWEEP20_FINAL_AUC = 0.999987732906
 # exact predictive value at the Monte Carlo anchor point
 MC_PPV_9575_AT_034 = 0.661885245902
 
+# areas at small LR+: sensitivity -> auc for specificity 0.5, computed with
+# 50-digit arithmetic at the exact binary value of each sensitivity and
+# frozen at 20 significant digits, to pin digits beyond the 12th
+AUC_SMALL_LR_B05 = {
+    1e-10: 4.2665407516227187548e-09,
+    1e-13: 5.6480918056748291188e-12,
+    1e-16: 7.0296428614689598361e-15,
+    1e-20: 8.8717109358641931989e-19,
+}
+
 
 # --- independent computational routes --------------------------------------
 
@@ -78,6 +88,17 @@ def ppv_odds_form(a: float, b: float, phi: float) -> float:
         return 1.0
     posterior_odds = (phi / (1.0 - phi)) * (a / (1.0 - b))
     return posterior_odds / (1.0 + posterior_odds)
+
+
+def grid_gaps(first: tuple[float, float], second: tuple[float, float],
+              points: int = 1000) -> list[float]:
+    """Curve gaps rho_second - rho_first on an interior grid of prevalences.
+
+    A dominance oracle: where every gap has one sign, that test's curve lies
+    above the other's at every sampled prevalence.
+    """
+    phis = [k / (points + 1.0) for k in range(1, points + 1)]
+    return [ppv_odds_form(*second, phi) - ppv_odds_form(*first, phi) for phi in phis]
 
 
 def bisect_root(f, lo: float, hi: float, iterations: int = 200) -> float:

@@ -24,8 +24,10 @@ from _oracles import (
     AUC,
     AUC_DIFF_0906_0609,
     AUC_DIFF_PAIR,
+    AUC_SMALL_LR_B05,
     BETA_DIFF_PAIR,
     SWEEP20_FINAL_AUC,
+    grid_gaps,
     trapezoid_auc,
 )
 
@@ -74,6 +76,15 @@ class TestAucClosedForm:
         assert auc_closed_form(t) == pytest.approx(
             auc_quadrature(t, tol=1e-12), abs=1e-11
         )
+
+    @pytest.mark.parametrize("a,expected", sorted(AUC_SMALL_LR_B05.items()))
+    def test_small_likelihood_ratio_keeps_its_digits(self, a, expected):
+        assert auc_closed_form(ScreeningTest(a, 0.5)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @given(a=st.floats(min_value=1e-300, max_value=0.3), b=st.floats(min_value=0.0, max_value=0.7))
+    def test_small_likelihood_ratio_is_positive_and_below_half(self, a, b):
+        value = auc_closed_form(ScreeningTest(a, b))
+        assert 0.0 < value < 0.5
 
     def test_degenerate_limits(self):
         with pytest.raises(DegenerateTestError) as info:
@@ -237,6 +248,43 @@ class TestCompareTests:
         report = compare_tests(ScreeningTest(a1, bb1), ScreeningTest(a2, bb2))
         expected = "second" if bb2 > bb1 else "first"
         assert report.dominant == expected
+
+    @given(
+        a1=st.floats(min_value=1e-9, max_value=1.0),
+        b1=st.floats(min_value=0.0, max_value=1.0 - 1e-9),
+        a2=st.floats(min_value=1e-9, max_value=1.0),
+        b2=st.floats(min_value=0.0, max_value=1.0 - 1e-9),
+    )
+    def test_dominance_matches_the_grid_oracle(self, a1, b1, a2, b2):
+        gaps = grid_gaps((a1, b1), (a2, b2))
+        if all(gap > 1e-9 for gap in gaps):
+            expected = "second"
+        elif all(gap < -1e-9 for gap in gaps):
+            expected = "first"
+        else:
+            return
+        assert compare_tests(ScreeningTest(a1, b1), ScreeningTest(a2, b2)).dominant == expected
+
+    @pytest.mark.parametrize(
+        "first,second,expected",
+        [
+            # Gains 1e-11 apart near 1: an equal-gain sign rule mis-orders them.
+            ((0.62, 0.38000000001), (0.18, 0.82), "first"),
+            # LR+ near 1e13 on both sides: curves a 1000-point grid cannot tell apart.
+            ((0.44810392978928293, 0.9999999999999719),
+             (0.8188817267609976, 0.9999999999999677), "second"),
+            # LR+ near 8e15 against 1e-30.
+            ((0.9, 1.0 - 2.0**-53), (1e-30, 0.0), "first"),
+        ],
+    )
+    def test_dominance_at_the_edges(self, first, second, expected):
+        report = compare_tests(ScreeningTest(*first), ScreeningTest(*second))
+        assert report.dominant == expected
+
+    def test_equal_likelihood_ratios_coincide(self):
+        report = compare_tests(ScreeningTest(0.5, 0.75), ScreeningTest(0.25, 0.875))
+        assert report.first.lr_plus == report.second.lr_plus
+        assert report.dominant == "neither"
 
     def test_pointwise_gap_sanity(self):
         # Spot-check the grid verdict against direct evaluation.

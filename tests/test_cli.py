@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import screencurve
 from screencurve.cli import cli_dispatch
 
 from _oracles import PHI_E_9575
@@ -67,6 +72,11 @@ class TestCurve:
         assert target.read_bytes() == first
         assert first.startswith(b"phi,ppv\n")
 
+    def test_single_sample_is_usage_error(self):
+        code, out, err = run(["curve", "--sens", "0.5", "--spec", "0.5", "--samples", "1"])
+        assert code == 2 and out == ""
+        assert "n must be an integer >= 2" in err
+
     def test_unwritable_output(self, tmp_path):
         argv = [
             "curve",
@@ -101,6 +111,14 @@ class TestCompare:
         code, _, err = run(["compare", "--test1", "0.95", "--test2", "0.75,0.95"])
         assert code == 2
         assert "--test1" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_is_usage_error(self, tol):
+        code, out, err = run(
+            ["compare", "--test1", "0.95,0.75", "--test2", "0.75,0.95", "--eps-tol", tol]
+        )
+        assert code == 2 and out == ""
+        assert "eps_tol" in err
 
     def test_degenerate_member(self):
         code, _, err = run(["compare", "--test1", "0,1", "--test2", "0.75,0.95"])
@@ -220,9 +238,58 @@ class TestCatalogCommand:
         assert payload[1]["lr_plus"] is None
         assert isinstance(payload[1]["lr_plus_reason"], str)
 
+    def test_degenerate_rows_print_every_field(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text("name,sensitivity,specificity\nbroken,0,0.5\n")
+        code, out, _ = run(["catalog", str(catalog)])
+        assert code == 0
+        assert line_value(out, "endpoint-chord slope:") == (
+            "undefined (prevalence threshold is degenerate at sensitivity=0 "
+            "(limit 1 as sensitivity -> 0))"
+        )
+        labels = [line.partition(":")[0] for line in out.splitlines()[1:]]
+        assert labels == [
+            "sensitivity", "specificity", "gain index (sens + spec)", "LR+",
+            "prevalence threshold phi_e", "beta (rad)", "endpoint-chord slope",
+            "area under curve",
+        ]
+
+    def test_tiny_sensitivities_are_reported(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text("name,sensitivity,specificity\nsmall,1e-20,0.5\ntiny,1e-40,0.5\n")
+        code, out, err = run(["catalog", str(catalog), "--json"])
+        assert code == 0 and err == ""
+        small, tiny = json.loads(out)
+        assert small["auc"] == pytest.approx(8.87171093586e-19, rel=1e-11, abs=0.0)
+        assert small["threshold"] is not None
+        assert tiny["lr_plus"] == pytest.approx(2e-40, rel=1e-11, abs=0.0)
+        assert tiny["threshold"] is None and "rounds" in tiny["threshold_reason"]
+        assert tiny["beta"] is None and "rounds" in tiny["beta_reason"]
+        assert tiny["auc"] > 0.0
+
     def test_missing_file(self):
         code, _, err = run(["catalog", "/no/such/file.csv"])
         assert code == 2
+
+
+class TestTinySensitivity:
+    def test_analyze_is_a_domain_error(self):
+        code, out, err = run(["analyze", "--sens", "1e-40", "--spec", "0.5"])
+        assert code == 1 and out == ""
+        assert "rounds to its limit" in err
+
+    def test_plot_skips_overlays_with_a_warning(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text("name,sensitivity,specificity\ntiny,1e-40,0.5\n")
+        target = tmp_path / "plane.svg"
+        code, _, err = run(
+            ["plot", "--catalog", str(catalog), "--out", str(target), "--threshold", "--beta"]
+        )
+        assert code == 0 and err == ""
+        svg = target.read_text(encoding="utf-8")
+        assert "warning: threshold overlay skipped for tiny: prevalence threshold rounds" in svg
+        assert "warning: beta overlay skipped for tiny: prevalence threshold rounds" not in svg
+        assert "warning: beta overlay skipped for tiny: curve angle rounds" in svg
 
 
 class TestLimitSweep:
@@ -260,3 +327,19 @@ class TestDispatchPlumbing:
         code, out, _ = run(["--help"])
         assert code == 0
         assert "analyze" in out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["screencurve", "screencurve.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        argv = ["analyze", "--sens", "0.95", "--spec", "0.75", "--json"]
+        package_root = str(Path(screencurve.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout == run(argv)[1]

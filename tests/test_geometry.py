@@ -15,6 +15,8 @@ from screencurve import (
     ParameterError,
     ScreeningTest,
     ZeroLRError,
+    auc_closed_form,
+    auc_quadrature,
     beta_geometry,
     chords_at,
     endpoint_chord_line,
@@ -231,3 +233,103 @@ class TestEndpointChordLine:
         assert endpoint_chord_line(t).slope == pytest.approx(
             beta_geometry(t).psi, rel=1e-12
         )
+
+
+JOINT, SENS_0, SPEC_1 = (0.0, 1.0), (0.0, 0.5), (0.5, 1.0)
+
+
+class TestDegenerateReasons:
+    """Class, message and limit of every degenerate-test error.
+
+    The messages reach users verbatim as JSON ``*_reason`` fields, text
+    report lines and SVG warnings, so they are pinned byte for byte.
+    """
+
+    @pytest.mark.parametrize(
+        "compute,test,error,message,limit",
+        [
+            (prevalence_threshold, JOINT, DegenerateTestError,
+             "prevalence threshold is indeterminate for sensitivity=0 specificity=1: "
+             "sensitivity 0 and specificity 1 jointly leave it 0/0", None),
+            (prevalence_threshold, SENS_0, DegenerateTestError,
+             "prevalence threshold is degenerate at sensitivity=0 "
+             "(limit 1 as sensitivity -> 0)", 1.0),
+            (prevalence_threshold, SPEC_1, DegenerateTestError,
+             "prevalence threshold is degenerate at specificity=1 "
+             "(limit 0 as specificity -> 1)", 0.0),
+            (lambda t: chords_at(t, 0.5), JOINT, DegenerateTestError,
+             "chord pair is indeterminate for sensitivity=0 specificity=1: "
+             "sensitivity 0 and specificity 1 jointly leave it 0/0", None),
+            (lambda t: chords_at(t, 0.5), SENS_0, DegenerateTestError,
+             "chord pair is degenerate at sensitivity=0 "
+             "(limit 0 as sensitivity -> 0)", 0.0),
+            (lambda t: chords_at(t, 0.5), SPEC_1, DegenerateTestError,
+             "chord pair is degenerate at specificity=1 "
+             "(limit 0 as specificity -> 1)", 0.0),
+            (beta_geometry, JOINT, DegenerateAngleError,
+             "curve angle is indeterminate for sensitivity=0 specificity=1", None),
+            (beta_geometry, SENS_0, DegenerateAngleError,
+             "curve angle is degenerate at sensitivity=0 (limit pi/2)", math.pi / 2.0),
+            (beta_geometry, SPEC_1, DegenerateAngleError,
+             "curve angle is degenerate at specificity=1 (limit 0)", 0.0),
+            (lr_positive_direct, JOINT, DegenerateTestError,
+             "LR+ is 0/0 for sensitivity=0 specificity=1", None),
+            (lr_positive_direct, SENS_0, ZeroLRError,
+             "LR+ collapses to 0 at sensitivity=0", 0.0),
+            (lr_positive_direct, SPEC_1, InfiniteLRError,
+             "LR+ diverges at specificity=1 with positive sensitivity", math.inf),
+            (auc_closed_form, JOINT, DegenerateTestError,
+             "area under the curve is indeterminate for sensitivity=0 specificity=1", None),
+            (auc_closed_form, SENS_0, DegenerateTestError,
+             "area under the curve is degenerate at sensitivity=0 (limit 0)", 0.0),
+            (auc_closed_form, SPEC_1, DegenerateTestError,
+             "area under the curve is degenerate at specificity=1 (limit 1)", 1.0),
+            (auc_quadrature, JOINT, DegenerateTestError,
+             "area under the curve is indeterminate for sensitivity=0 specificity=1", None),
+            (auc_quadrature, SENS_0, DegenerateTestError,
+             "area under the curve is degenerate at sensitivity=0 (limit 0)", 0.0),
+            (auc_quadrature, SPEC_1, DegenerateTestError,
+             "area under the curve is degenerate at specificity=1 (limit 1)", 1.0),
+            (threshold_equivalence_check, JOINT, DegenerateTestError,
+             "threshold forms are 0/0 when sensitivity is 0 and specificity is 1", None),
+        ],
+    )
+    def test_class_message_and_limit(self, compute, test, error, message, limit):
+        with pytest.raises(DegenerateTestError) as info:
+            compute(ScreeningTest(*test))
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.limit == limit
+
+    @pytest.mark.parametrize("test", [SENS_0, SPEC_1])
+    def test_threshold_forms_survive_one_sided_degeneracy(self, test):
+        ratio_form, surd_form = threshold_equivalence_check(ScreeningTest(*test))
+        assert ratio_form == pytest.approx(surd_form, abs=1e-15)
+
+
+class TestTinySensitivity:
+    """Below LR+ of about 1e-32 the threshold and angle round onto their limits."""
+
+    def test_threshold_rounds_to_its_sensitivity_limit(self):
+        with pytest.raises(DegenerateTestError) as info:
+            prevalence_threshold(ScreeningTest(1e-40, 0.5))
+        assert type(info.value) is DegenerateTestError
+        assert str(info.value) == (
+            "prevalence threshold rounds to its limit 1 at sensitivity=1e-40 specificity=0.5"
+        )
+        assert info.value.limit == 1.0
+        with pytest.raises(DegenerateTestError):
+            endpoint_chord_line(ScreeningTest(1e-40, 0.5))
+
+    def test_angle_rounds_to_its_sensitivity_limit(self):
+        with pytest.raises(DegenerateAngleError) as info:
+            beta_geometry(ScreeningTest(1e-40, 0.5))
+        assert str(info.value) == (
+            "curve angle rounds to its limit pi/2 at sensitivity=1e-40 specificity=0.5"
+        )
+        assert info.value.limit == math.pi / 2.0
+        with pytest.raises(DegenerateAngleError):
+            lr_positive_from_beta(ScreeningTest(1e-40, 0.5))
+
+    def test_the_likelihood_ratio_stays_defined(self):
+        assert lr_positive_direct(ScreeningTest(1e-40, 0.5)) == 2e-40
