@@ -22,9 +22,10 @@ Below r = -1/2 (LR+ = a/c < 1/2) the logarithm is taken of a/c itself:
 a/c = 2^-53.
 
 The quadrature companion is an independent oracle: depth-limited adaptive
-Simpson with error estimated from the two-scale rule difference |S2 - S|/15
-and a Richardson correction on acceptance.  The two routes are compared in
-tests; neither is derived from the other.
+Simpson in plain Python over the curve kernel of ``core``, with error
+estimated from the two-scale rule difference |S2 - S|/15 and a Richardson
+correction on acceptance.  The two routes are compared in tests; neither
+is derived from the other.
 
 A fictitious perfectly informative test appears in the limit epsilon -> 2,
 where the area tends to 1; ``fts_limit_sweep`` walks a = b = 1 - 2^-k
@@ -43,9 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
-import numpy as np
-
-from .core import ScreeningTest
+from .core import ScreeningTest, _ppv, _require_int
 from .errors import (
     DegenerateTestError,
     NonConvergenceError,
@@ -112,8 +111,9 @@ def auc_quadrature(
     Each interval carries an error budget proportional to its length; an
     interval is accepted when the two-scale Simpson difference satisfies
     |S2 - S| <= 15 * budget, contributing S2 + (S2 - S)/15.  Rejected
-    intervals are bisected, and all pending intervals at a given depth are
-    processed together as numpy arrays.
+    intervals are bisected, halving their budget, and the pending intervals
+    are processed breadth first: every interval at one depth before any at
+    the next.
 
     Raises:
         ParameterError: if tol < 1e-13 or max_depth < 1.
@@ -126,53 +126,39 @@ def auc_quadrature(
         raise ParameterError(
             f"tol must be a real number >= {MIN_QUADRATURE_TOL:g}, got {tol!r}"
         )
-    if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
-        raise ParameterError(f"max_depth must be an integer >= 1, got {max_depth!r}")
+    _require_int("max_depth", max_depth, 1)
     _reject_degenerate(test, "area under the curve")
     a = test.sensitivity
     c = 1.0 - test.specificity
 
-    def f(phis: np.ndarray) -> np.ndarray:
-        positives = a * phis
-        return positives / (positives + c * (1.0 - phis))
-
-    left = np.array([0.0])
-    right = np.array([1.0])
-    f_left = f(left)
-    f_mid = f(0.5 * (left + right))
-    f_right = f(right)
-    estimate = (right - left) / 6.0 * (f_left + 4.0 * f_mid + f_right)
-    budget = np.array([tol])
+    # (left, right, f(left), f(mid), f(right), Simpson estimate, error budget)
+    f_left, f_mid, f_right = _ppv(a, c, 0.0), _ppv(a, c, 0.5), _ppv(a, c, 1.0)
+    estimate = 1.0 / 6.0 * (f_left + 4.0 * f_mid + f_right)
+    pending = [(0.0, 1.0, f_left, f_mid, f_right, estimate, tol)]
     total = 0.0
 
     for _ in range(max_depth):
-        mid = 0.5 * (left + right)
-        left_mid = 0.5 * (left + mid)
-        right_mid = 0.5 * (mid + right)
-        f_lm = f(left_mid)
-        f_rm = f(right_mid)
-        s_left = (mid - left) / 6.0 * (f_left + 4.0 * f_lm + f_mid)
-        s_right = (right - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_right)
-        refined = s_left + s_right
-        error = refined - estimate
-        done = np.abs(error) <= 15.0 * budget
-        if done.any():
-            total += float(np.sum(refined[done] + error[done] / 15.0))
-        if done.all():
+        bisected = []
+        for left, right, f_left, f_mid, f_right, estimate, budget in pending:
+            mid = 0.5 * (left + right)
+            f_lm = _ppv(a, c, 0.5 * (left + mid))
+            f_rm = _ppv(a, c, 0.5 * (mid + right))
+            s_left = (mid - left) / 6.0 * (f_left + 4.0 * f_lm + f_mid)
+            s_right = (right - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_right)
+            refined = s_left + s_right
+            error = refined - estimate
+            if abs(error) <= 15.0 * budget:
+                total += refined + error / 15.0
+            else:
+                bisected.append((left, mid, f_left, f_lm, f_mid, s_left, budget / 2.0))
+                bisected.append((mid, right, f_mid, f_rm, f_right, s_right, budget / 2.0))
+        if not bisected:
             return total
-        keep = ~done
-        left = np.concatenate([left[keep], mid[keep]])
-        right = np.concatenate([mid[keep], right[keep]])
-        f_left = np.concatenate([f_left[keep], f_mid[keep]])
-        f_right = np.concatenate([f_mid[keep], f_right[keep]])
-        f_mid = np.concatenate([f_lm[keep], f_rm[keep]])
-        estimate = np.concatenate([s_left[keep], s_right[keep]])
-        half_budget = budget[keep] / 2.0
-        budget = np.concatenate([half_budget, half_budget])
+        pending = bisected
 
     raise NonConvergenceError(
         f"quadrature did not reach tol={tol:g} within {max_depth} bisections "
-        f"({left.size} intervals unresolved)"
+        f"({len(pending)} intervals unresolved)"
     )
 
 
@@ -184,8 +170,7 @@ def fts_limit_sweep(steps: int) -> list[tuple[float, float]]:
 
     Raises ParameterError unless ``steps`` is an integer >= 1.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
+    _require_int("steps", steps, 1)
     rows: list[tuple[float, float]] = []
     for k in range(1, steps + 1):
         level = 1.0 - 2.0 ** (-k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import ScreeningTest
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 
 __all__ = ["HEADER", "CatalogEntry", "parse_catalog", "emit_catalog"]
 
@@ -80,10 +80,20 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
 
 
 def emit_catalog(entries: Iterable[CatalogEntry]) -> str:
-    """Render entries back to catalog text (12 significant digits per value)."""
+    """Render entries back to catalog text (12 significant digits per value).
+
+    Raises ParameterError for a name that ``parse_catalog`` would not read
+    back as written: empty, duplicate, starting with ``#``, padded with
+    whitespace, or holding a comma or a line break.
+    """
     lines = [HEADER]
+    seen: set[str] = set()
     for entry in entries:
-        lines.append(
-            f"{entry.name},{entry.test.sensitivity:.12g},{entry.test.specificity:.12g}"
-        )
+        name = entry.name
+        # "".splitlines() is [], so the last test also refuses an empty name.
+        unreadable = name in seen or name.startswith("#") or "," in name
+        if unreadable or name != name.strip() or name.splitlines() != [name]:
+            raise ParameterError(f"catalog name {name!r} would not read back as written")
+        seen.add(name)
+        lines.append(f"{name},{entry.test.sensitivity:.12g},{entry.test.specificity:.12g}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ import sys
 from typing import TextIO
 
 from . import __version__
-from .analysis import build_test_report, compare_tests, fts_limit_sweep
+from .analysis import TestReport, build_test_report, compare_tests, fts_limit_sweep
 from .catalog import parse_catalog
 from .cohort import simulate_cohort
 from .core import ScreeningTest, curve_samples
@@ -135,10 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report_lines(test: ScreeningTest, out: TextIO) -> None:
-    report = build_test_report(test, strict=False)
-    out.write(f"sensitivity: {format_real(test.sensitivity)}\n")
-    out.write(f"specificity: {format_real(test.specificity)}\n")
+def _print_report_lines(report: TestReport, out: TextIO) -> None:
+    out.write(f"sensitivity: {format_real(report.test.sensitivity)}\n")
+    out.write(f"specificity: {format_real(report.test.specificity)}\n")
     out.write(f"gain index (sens + spec): {report.epsilon:.6g}\n")
     if report.lr_plus is not None:
         out.write(f"LR+: {report.lr_plus:.6g}\n")
@@ -181,7 +180,7 @@ def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
     if args.json:
         out.write(emit_report(report))
     else:
-        _print_report_lines(test, out)
+        _print_report_lines(report, out)
     return 0
 
 
@@ -254,19 +253,16 @@ def _run_simulate(args: argparse.Namespace, out: TextIO) -> int:
 
 def _run_catalog(args: argparse.Namespace, out: TextIO) -> int:
     entries = parse_catalog(_read_text(args.path))
+    reports = [(entry.name, build_test_report(entry.test, strict=False)) for entry in entries]
     if args.json:
-        payload = []
-        for entry in entries:
-            row = {"name": entry.name}
-            row.update(test_report_payload(build_test_report(entry.test, strict=False)))
-            payload.append(row)
+        payload = [{"name": name, **test_report_payload(report)} for name, report in reports]
         out.write(render_json(payload) + "\n")
         return 0
-    for index, entry in enumerate(entries):
+    for index, (name, report) in enumerate(reports):
         if index:
             out.write("\n")
-        out.write(f"[{entry.name}]\n")
-        _print_report_lines(entry.test, out)
+        out.write(f"[{name}]\n")
+        _print_report_lines(report, out)
     return 0
 
 

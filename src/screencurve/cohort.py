@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScreeningTest, _require_probability
+from .core import ScreeningTest, _require_int, _require_probability
 from .errors import AbsentEstimateError, ParameterError
 
 __all__ = [
@@ -70,12 +70,6 @@ def _normalize_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     return seed % (1 << 64)
-
-
-def _require_count(name: str, value: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ def simulate_cohort(
     Raises ParameterError for phi outside [0, 1], n < 1, or a non-integer seed.
     """
     phi = _require_probability("phi", phi)
-    n = _require_count("n", n)
+    n = _require_int("n", n, 1)
     seed_value = _normalize_seed(seed)
     seed64 = np.uint64(seed_value)
     a = test.sensitivity
@@ -213,7 +207,7 @@ def empirical_ppv_curve(
     grid layout while remaining fully determined by (seed, k).  Points whose
     cohort has no positives are reported with ``ppv=None`` and a reason.
     """
-    n = _require_count("n", n)
+    n = _require_int("n", n, 1)
     seed64 = np.uint64(_normalize_seed(seed))
     prevalences = [_require_probability(f"phis[{k}]", p) for k, p in enumerate(phis)]
 

@@ -29,6 +29,8 @@ __all__ = ["ScreeningTest", "CurvePoint", "epsilon", "ppv", "curve_samples"]
 
 def _require_probability(name: str, value: float) -> float:
     """Validate a probability-like argument, returning it as a float."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -36,6 +38,22 @@ def _require_probability(name: str, value: float) -> float:
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
     return value
+
+
+def _require_int(name: str, value: int, minimum: int) -> int:
+    """Validate an integer argument of at least ``minimum``, returning it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _ppv(a: float, c: float, phi: float) -> float | None:
+    """rho(phi) for sensitivity ``a`` and false-positive rate ``c``; None where 0/0."""
+    positives = a * phi
+    denominator = positives + c * (1.0 - phi)
+    if denominator == 0.0:
+        return None
+    return positives / denominator
 
 
 @dataclass(frozen=True)
@@ -101,16 +119,13 @@ def ppv(test: ScreeningTest, phi: float) -> float:
             (phi = 0 with b = 1, phi = 1 with a = 0, or a = 0 and b = 1).
     """
     phi = _require_probability("phi", phi)
-    a = test.sensitivity
-    c = 1.0 - test.specificity
-    positives = a * phi
-    denominator = positives + c * (1.0 - phi)
-    if denominator == 0.0:
+    rho = _ppv(test.sensitivity, 1.0 - test.specificity, phi)
+    if rho is None:
         raise IndeterminateError(
             "ppv is 0/0 at phi="
             f"{phi:g} for {test.describe()}: no subject tests positive here"
         )
-    return positives / denominator
+    return rho
 
 
 def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
@@ -123,15 +138,6 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
     Raises:
         ParameterError: if ``n`` is not an integer >= 2.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
-    points: list[CurvePoint] = []
-    step = n - 1
-    for k in range(n):
-        phi = k / step
-        try:
-            rho: float | None = ppv(test, phi)
-        except IndeterminateError:
-            rho = None
-        points.append(CurvePoint(phi, rho))
-    return points
+    n = _require_int("n", n, 2)
+    a, c = test.sensitivity, 1.0 - test.specificity
+    return [CurvePoint(k / (n - 1), _ppv(a, c, k / (n - 1))) for k in range(n)]

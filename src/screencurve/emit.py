@@ -10,6 +10,7 @@ shortest-roundtrip precision, which is not the 12-digit contract.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .analysis import ComparisonReport, TestReport
@@ -39,7 +40,10 @@ def _escape(text: str) -> str:
 
 
 def render_json(value, indent: int = 0) -> str:
-    """Serialize dicts/lists/strings/numbers/bools/None, in insertion order."""
+    """Serialize dicts/lists/strings/numbers/bools/None, in insertion order.
+
+    Raises ValueError for an infinite or NaN float, which JSON cannot hold.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -49,6 +53,8 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize {value!r}: JSON has no non-finite numbers")
         return format_real(value)
     if isinstance(value, str):
         return f'"{_escape(value)}"'

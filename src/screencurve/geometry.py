@@ -37,10 +37,11 @@ quantity, which error class, message and limit each degenerate case gets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ScreeningTest, ppv, _require_probability
+from .core import ScreeningTest, _ppv, _require_probability
 from .errors import (
     DegenerateAngleError,
     DegenerateTestError,
@@ -194,14 +195,13 @@ def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:
     small (below about 1e-32) that phi_e rounds to its limit 1.
     """
     _reject_degenerate(test, "prevalence threshold")
-    root_a = math.sqrt(test.sensitivity)
-    root_c = math.sqrt(1.0 - test.specificity)
-    phi_e = root_c / (root_a + root_c)
+    a, c = test.sensitivity, 1.0 - test.specificity
+    phi_e = math.sqrt(c) / (math.sqrt(a) + math.sqrt(c))
     if phi_e == 1.0:
         raise DegenerateTestError(
             f"prevalence threshold rounds to its limit 1 at {test.describe()}", limit=1.0
         )
-    return ThresholdPoint(phi_e=phi_e, rho_e=ppv(test, phi_e))
+    return ThresholdPoint(phi_e=phi_e, rho_e=_ppv(a, c, phi_e))
 
 
 def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
@@ -284,7 +284,8 @@ def chords_at(test: ScreeningTest, phi: float) -> ChordPair:
         ParameterError: if phi is outside [0, 1].
         DomainError: at phi = 0 or phi = 1, where a chord degenerates to a point.
         DegenerateTestError: when sensitivity is 0 or specificity is 1, where
-            one chord slope collapses to 0 (carries that limit).
+            one chord slope collapses to 0 (carries that limit), or when
+            sensitivity*phi is below the smallest normal float (limit 0).
     """
     phi = _require_probability("phi", phi)
     if phi == 0.0 or phi == 1.0:
@@ -294,8 +295,13 @@ def chords_at(test: ScreeningTest, phi: float) -> ChordPair:
     _reject_degenerate(test, "chord pair")
     a = test.sensitivity
     c = 1.0 - test.specificity
-    denominator = a * phi + c * (1.0 - phi)
-    rho = (a * phi) / denominator
+    positives = a * phi
+    if positives < sys.float_info.min:
+        raise DegenerateTestError(
+            f"chord pair rounds to its limit 0 at {test.describe()} phi={phi:g}", limit=0.0
+        )
+    denominator = positives + c * (1.0 - phi)
+    rho = positives / denominator
     # Rise of the endpoint chord, computed as the complement predictive value
     # c*(1-phi)/denominator instead of 1 - rho: the literal subtraction loses
     # up to half the significand as rho -> 1, which would wash out the

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry
-from .core import curve_samples
+from .core import _require_int, curve_samples
 from .errors import DegenerateTestError, ParameterError
 from .geometry import beta_geometry, prevalence_threshold
 
@@ -65,14 +65,9 @@ class PlotSpec:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ParameterError("a plot needs at least one catalog entry")
-        if not isinstance(self.samples, int) or self.samples < 2:
-            raise ParameterError(f"samples must be an integer >= 2, got {self.samples!r}")
-        minimum_w = int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40
-        minimum_h = int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40
-        if not isinstance(self.width_px, int) or self.width_px < minimum_w:
-            raise ParameterError(f"width_px must be an integer >= {minimum_w}")
-        if not isinstance(self.height_px, int) or self.height_px < minimum_h:
-            raise ParameterError(f"height_px must be an integer >= {minimum_h}")
+        _require_int("samples", self.samples, 2)
+        _require_int("width_px", self.width_px, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40)
+        _require_int("height_px", self.height_px, int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40)
 
 
 def _xml_escape(text: str) -> str:

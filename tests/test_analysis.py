@@ -116,8 +116,23 @@ class TestAucQuadrature:
             auc_quadrature(ScreeningTest(0.5, 0.5), max_depth=bad_depth)
 
     def test_nonconvergence_is_reported(self):
-        with pytest.raises(NonConvergenceError):
-            auc_quadrature(ScreeningTest(0.95, 0.75), tol=1e-12, max_depth=1)
+        for max_depth, unresolved in [(1, 2), (5, 32)]:
+            with pytest.raises(NonConvergenceError) as info:
+                auc_quadrature(ScreeningTest(0.95, 0.75), tol=1e-12, max_depth=max_depth)
+            assert str(info.value) == (
+                f"quadrature did not reach tol=1e-12 within {max_depth} bisections "
+                f"({unresolved} intervals unresolved)"
+            )
+
+    def test_richardson_corrected_accuracy_on_the_acceptance_grid(self):
+        # The accepted S2 + (S2 - S)/15 lands far inside the requested tol;
+        # plain S2 would sit near it.
+        grid = [0.02 + 0.96 * k / 49.0 for k in range(50)]
+
+        def gap(test):
+            return abs(auc_quadrature(test, tol=1e-10) - auc_closed_form(test))
+
+        assert max(gap(ScreeningTest(a, b)) for a in grid for b in grid) <= 1e-12
 
     def test_sharp_curve_converges(self):
         t = ScreeningTest(0.98, 0.98)

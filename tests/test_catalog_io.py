@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screencurve import (
     CatalogEntry,
+    ParameterError,
     ParseError,
     ScreeningTest,
     build_test_report,
@@ -89,9 +90,13 @@ class TestCatalogRoundTrip:
         ]
         assert parse_catalog(emit_catalog(entries)) == entries
 
+    # Most arbitrary name lists hold one unwritable name, so run enough
+    # examples that the values still round-trip in a few dozen of them.
+    @settings(max_examples=300)
     @given(
-        values=st.lists(
+        rows=st.lists(
             st.tuples(
+                st.text(),
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
             ),
@@ -99,15 +104,25 @@ class TestCatalogRoundTrip:
             max_size=8,
         )
     )
-    def test_round_trip_after_12_digit_rounding(self, values):
+    def test_round_trip_after_12_digit_rounding(self, rows):
         entries = [
-            CatalogEntry(
-                f"t{i}",
-                ScreeningTest(float(f"{a:.12g}"), float(f"{b:.12g}")),
-            )
-            for i, (a, b) in enumerate(values)
+            CatalogEntry(name, ScreeningTest(float(f"{a:.12g}"), float(f"{b:.12g}")))
+            for name, a, b in rows
         ]
-        assert parse_catalog(emit_catalog(entries)) == entries
+        try:
+            text = emit_catalog(entries)
+        except ParameterError:
+            return
+        assert parse_catalog(text) == entries
+
+    @pytest.mark.parametrize(
+        "names",
+        [[""], ["#x"], [" y "], ["y "], ["a,b"], ["a\nb"], ["a\rb"], ["a\u2028b"], ["t", "t"]],
+    )
+    def test_refuses_names_that_would_not_read_back(self, names):
+        entries = [CatalogEntry(name, ScreeningTest(0.5, 0.5)) for name in names]
+        with pytest.raises(ParameterError, match="would not read back as written"):
+            emit_catalog(entries)
 
 
 class TestRenderJson:
@@ -135,6 +150,11 @@ class TestRenderJson:
 
     def test_lists(self):
         assert json.loads(render_json([1, 2.5, "s", None])) == [1, 2.5, "s", None]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_refuses_non_finite_reals(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json({"x": [value]})
 
 
 class TestEmitReport:

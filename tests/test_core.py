@@ -1,6 +1,8 @@
 """Pointwise curve function, parameter validation, and sampling."""
 
+import importlib
 import math
+import types
 
 import pytest
 from hypothesis import given
@@ -42,6 +44,13 @@ class TestScreeningTest:
             ScreeningTest(bad, 0.5)
         with pytest.raises(ParameterError):
             ScreeningTest(0.5, bad)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_booleans(self, flag):
+        with pytest.raises(ParameterError, match="must be a real number"):
+            ScreeningTest(flag, 0.5)
+        with pytest.raises(ParameterError, match="must be a real number"):
+            ScreeningTest(0.5, flag)
 
     def test_immutable(self):
         t = ScreeningTest(0.5, 0.5)
@@ -140,3 +149,14 @@ class TestCurveSamples:
 
 def test_epsilon_is_not_nan_for_valid_tests():
     assert not math.isnan(ScreeningTest(0.0, 0.0).epsilon)
+
+
+@pytest.mark.parametrize("module", ["core", "geometry", "analysis"])
+def test_numpy_stays_in_the_cohort_simulator(module):
+    namespace = vars(importlib.import_module(f"screencurve.{module}"))
+    numpy_modules = [
+        name
+        for name, value in namespace.items()
+        if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "numpy"
+    ]
+    assert numpy_modules == []

@@ -1,6 +1,7 @@
 """Threshold point, origin-chord angle, chord slopes, and their identities."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -333,3 +334,29 @@ class TestTinySensitivity:
 
     def test_the_likelihood_ratio_stays_defined(self):
         assert lr_positive_direct(ScreeningTest(1e-40, 0.5)) == 2e-40
+
+    @pytest.mark.parametrize(
+        "sensitivity, phi, shown",
+        [(5e-324, 0.5, "4.94066e-324"), (1e-300, 1e-30, "1e-300"), (1e-300, 1e-17, "1e-300")],
+    )
+    def test_chords_round_to_their_limit_below_the_normal_range(self, sensitivity, phi, shown):
+        # sensitivity*phi below the smallest normal float: the rise is
+        # subnormal (digits lost) or 0, so the origin slope is not computable.
+        test = ScreeningTest(sensitivity, 0.5)
+        for compute in (chords_at, lr_positive_from_chords):
+            with pytest.raises(DegenerateTestError) as info:
+                compute(test, phi)
+            assert type(info.value) is DegenerateTestError
+            assert str(info.value) == (
+                f"chord pair rounds to its limit 0 at sensitivity={shown} "
+                f"specificity=0.5 phi={phi:g}"
+            )
+            assert info.value.limit == 0.0
+
+    def test_chords_keep_their_digits_just_above_the_normal_range(self):
+        test = ScreeningTest(1e-300, 0.5)
+        phi = 1.0001 * sys.float_info.min / 1e-300
+        assert 1e-300 * phi >= sys.float_info.min
+        assert lr_positive_from_chords(test, phi) == pytest.approx(
+            lr_positive_direct(test), rel=1e-12
+        )

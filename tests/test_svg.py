@@ -50,9 +50,11 @@ class TestDocumentShape:
         assert 'viewBox="0 0 800 500"' in text
 
     def test_size_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^width_px must be an integer >= 122, got 50$"):
             PlotSpec(entries=(ANCHOR_ENTRY,), width_px=50)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^height_px must be an integer >= 108, got 9\.5$"):
+            PlotSpec(entries=(ANCHOR_ENTRY,), height_px=9.5)
+        with pytest.raises(ParameterError, match=r"^samples must be an integer >= 2, got 1$"):
             PlotSpec(entries=(ANCHOR_ENTRY,), samples=1)
         with pytest.raises(ParameterError):
             PlotSpec(entries=())
