@@ -11,12 +11,13 @@ The implementation evaluates the algebraically equal form
     (a/c) * (r - ln(1 + r)) / r^2,    r = d/c,
 
 which isolates the cancellation into (r - log1p(r)) and switches to a
-five-term alternating series
+nine-term alternating series
 
-    (a/c) * (1/2 - r/3 + r^2/4 - r^3/5 + r^4/6)
+    (a/c) * (1/2 - r/3 + r^2/4 - ... + r^8/10)
 
-for |r| < 1e-4 (next term below 1e-21), so values near epsilon = 1 are
-computed to full precision instead of losing digits to the subtraction.
+for |r| < 0.02 (next term below 1e-16 relative), so values near
+epsilon = 1 are computed to full precision instead of losing digits to the
+subtraction.
 Below r = -1/2 (LR+ = a/c < 1/2) the logarithm is taken of a/c itself:
 1 + r rounds away the low digits of a small a/c, and to zero below
 a/c = 2^-53.
@@ -79,7 +80,7 @@ MIN_QUADRATURE_TOL = 1e-13
 NEGLIGIBLE_DIFFERENCE = 1e-12
 
 #: |r| = |epsilon - 1| / (1 - b) below which the series branch is used.
-SERIES_SWITCH = 1e-4
+SERIES_SWITCH = 0.02
 
 
 def auc_closed_form(test: ScreeningTest) -> float:
@@ -96,7 +97,10 @@ def auc_closed_form(test: ScreeningTest) -> float:
     if r == 0.0:
         return 0.5
     if abs(r) < SERIES_SWITCH:
-        core = 0.5 - r / 3.0 + r * r / 4.0 - r**3 / 5.0 + r**4 / 6.0
+        # Sum of (-r)^k / (k + 2) for k = 0..8, by Horner's rule.
+        core = 0.0
+        for k in range(10, 1, -1):
+            core = 1.0 / k - r * core
     else:
         log_lr = math.log(a / c) if r < -0.5 else math.log1p(r)
         core = (r - log_lr) / (r * r)

@@ -37,7 +37,8 @@ class _InputError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write one.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path!r}: {exc.strerror or exc}") from exc

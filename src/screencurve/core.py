@@ -29,7 +29,10 @@ __all__ = ["ScreeningTest", "CurvePoint", "epsilon", "ppv", "curve_samples"]
 
 def _require_probability(name: str, value: float) -> float:
     """Validate a probability-like argument, returning it as a float."""
-    if isinstance(value, bool):
+    # numpy.bool_ (named "bool" since numpy 2) is not a bool subclass; matching
+    # the type's name refuses it without importing numpy.  Floats, the common
+    # case on hot paths such as curve sampling, skip the match.
+    if type(value) is not float and type(value).__name__ in ("bool", "bool_"):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)

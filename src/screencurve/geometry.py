@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ScreeningTest, _ppv, _require_probability
+from .core import ScreeningTest, _require_probability
 from .errors import (
     DegenerateAngleError,
     DegenerateTestError,
@@ -195,13 +195,14 @@ def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:
     small (below about 1e-32) that phi_e rounds to its limit 1.
     """
     _reject_degenerate(test, "prevalence threshold")
-    a, c = test.sensitivity, 1.0 - test.specificity
-    phi_e = math.sqrt(c) / (math.sqrt(a) + math.sqrt(c))
+    root_a, root_c = math.sqrt(test.sensitivity), math.sqrt(1.0 - test.specificity)
+    phi_e = root_c / (root_a + root_c)
     if phi_e == 1.0:
         raise DegenerateTestError(
             f"prevalence threshold rounds to its limit 1 at {test.describe()}", limit=1.0
         )
-    return ThresholdPoint(phi_e=phi_e, rho_e=_ppv(a, c, phi_e))
+    # rho_e = 1 - phi_e, taken from the roots: rho(phi_e) loses digits as phi_e -> 1.
+    return ThresholdPoint(phi_e=phi_e, rho_e=root_a / (root_a + root_c))
 
 
 def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
@@ -326,10 +327,13 @@ def lr_positive_from_chords(test: ScreeningTest, phi: float) -> float:
 def endpoint_chord_line(test: ScreeningTest) -> ChordLine:
     """Full line through the threshold point and (1, 1).
 
-    The slope is (1 - rho_e) / (1 - phi_e) and the intercept is exactly
-    1 - slope, so the line passes through (1, 1) by construction.
-    Degeneracies raise as in ``prevalence_threshold``.
+    The slope (1 - rho_e) / (1 - phi_e) equals phi_e / rho_e = sqrt(c / a),
+    which is computed instead: the differences cancel as rho_e -> 1.  The
+    intercept is exactly 1 - slope, so the line passes through (1, 1) by
+    construction; near LR+ = 1 it is ill-conditioned and carries an
+    absolute error of up to about 2.2e-16.  Degeneracies raise as in
+    ``prevalence_threshold``.
     """
     point = prevalence_threshold(test)
-    slope = (1.0 - point.rho_e) / (1.0 - point.phi_e)
+    slope = point.phi_e / point.rho_e
     return ChordLine(slope=slope, intercept=1.0 - slope)

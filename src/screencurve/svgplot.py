@@ -7,17 +7,17 @@ order, fixed 2-decimal pixel formatting, a fixed color palette keyed by
 entry order, and no timestamps or external references, so identical specs
 produce byte-identical documents.
 
-Optional per-test overlays:
+Optional per-test overlays, drawn from the test's ``build_test_report``:
 
 * threshold: vertical line at phi_e with dashed guides to the axes;
 * chords: the origin chord (0,0)->(phi_e, rho_e) and the endpoint chord
   (phi_e, rho_e)->(1,1);
 * beta: the origin chord plus an angle arc at the origin between the chord
-  and the vertical, labeled beta.
+  and the vertical, labeled beta (needs both beta and the threshold point).
 
-An overlay that is undefined for a degenerate test is skipped and recorded
-as an XML comment warning near the top of the document; the curve itself is
-still drawn from its defined samples.
+An overlay the report leaves undefined is skipped and recorded, with the
+report's reason, as an XML comment warning near the top of the document;
+the curve is still drawn as one polyline through its defined samples.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import build_test_report
 from .catalog import CatalogEntry
 from .core import _require_int, curve_samples
-from .errors import DegenerateTestError, ParameterError
-from .geometry import beta_geometry, prevalence_threshold
+from .errors import ParameterError
 
 __all__ = ["PALETTE", "PlotSpec", "render_screening_plane"]
 
@@ -150,105 +150,88 @@ def render_screening_plane(spec: PlotSpec) -> str:
     # Curves.
     body.append('<g class="curves" fill="none" stroke-width="1.5">')
     for i, entry in enumerate(spec.entries):
-        color = PALETTE[i % len(PALETTE)]
-        segments: list[list[str]] = [[]]
-        for point in curve_samples(entry.test, spec.samples):
-            if point.rho is None:
-                if segments[-1]:
-                    segments.append([])
-                continue
-            segments[-1].append(f"{px(x(point.phi))},{px(y(point.rho))}")
-        drawn = 0
-        for segment in segments:
-            if len(segment) < 2:
-                continue
-            suffix = "" if drawn == 0 else f"-s{drawn}"
+        # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
+        points = [
+            f"{px(x(point.phi))},{px(y(point.rho))}"
+            for point in curve_samples(entry.test, spec.samples)
+            if point.rho is not None
+        ]
+        if len(points) >= 2:
             body.append(
-                f'<polyline class="curve" id="curve-{i}{suffix}" '
-                f'data-name="{_xml_escape(entry.name)}" stroke="{color}" '
-                f'points="{" ".join(segment)}"/>'
+                f'<polyline class="curve" id="curve-{i}" '
+                f'data-name="{_xml_escape(entry.name)}" stroke="{PALETTE[i % len(PALETTE)]}" '
+                f'points="{" ".join(points)}"/>'
             )
-            drawn += 1
     body.append("</g>")
 
     # Overlays, per entry, fixed order: threshold, chords, beta.
-    def warn(overlay: str, entry: CatalogEntry, exc: Exception) -> None:
-        # Entities are not parsed inside XML comments; only "--" is forbidden.
-        warnings.append(
-            f"<!-- warning: {overlay} overlay skipped for "
-            f"{_comment_safe(entry.name)}: {_comment_safe(str(exc))} -->"
-        )
-
     body.append('<g class="overlays" font-family="sans-serif" font-size="13">')
-    for i, entry in enumerate(spec.entries):
+    overlaid = spec.show_threshold or spec.show_chords or spec.show_beta
+    ox, oy = x(0.0), y(0.0)
+    for i, entry in enumerate(spec.entries if overlaid else ()):
         color = PALETTE[i % len(PALETTE)]
-        threshold = None
-        if spec.show_threshold or spec.show_chords:
-            try:
-                threshold = prevalence_threshold(entry.test)
-            except DegenerateTestError as exc:
-                if spec.show_threshold:
-                    warn("threshold", entry, exc)
-                if spec.show_chords:
-                    warn("chords", entry, exc)
-        if spec.show_threshold and threshold is not None:
-            tx, ty = x(threshold.phi_e), y(threshold.rho_e)
+        report = build_test_report(entry.test, strict=False)
+        point, reasons = report.threshold, report.absent_reasons
+        # Beta also needs the threshold point; its own reason comes first.
+        for overlay, shown, reason in (
+            ("threshold", spec.show_threshold, reasons.get("threshold")),
+            ("chords", spec.show_chords, reasons.get("threshold")),
+            ("beta", spec.show_beta, reasons.get("beta", reasons.get("threshold"))),
+        ):
+            if shown and reason is not None:
+                # Entities are not parsed inside XML comments; only "--" is forbidden.
+                warnings.append(
+                    f"<!-- warning: {overlay} overlay skipped for "
+                    f"{_comment_safe(entry.name)}: {_comment_safe(reason)} -->"
+                )
+        if point is None:
+            continue
+        tx, ty = x(point.phi_e), y(point.rho_e)
+        origin_chord = (
+            f'<line class="origin-chord" stroke="{color}" stroke-width="1" '
+            f'x1="{px(ox)}" y1="{px(oy)}" x2="{px(tx)}" y2="{px(ty)}"/>'
+        )
+        if spec.show_threshold:
             body.append(
                 f'<line class="threshold" stroke="{color}" stroke-dasharray="5 3" '
-                f'x1="{px(tx)}" y1="{px(y(0.0))}" x2="{px(tx)}" y2="{px(ty)}"/>'
+                f'x1="{px(tx)}" y1="{px(oy)}" x2="{px(tx)}" y2="{px(ty)}"/>'
             )
             body.append(
                 f'<line class="threshold-guide" stroke="{color}" stroke-dasharray="5 3" '
-                f'x1="{px(x(0.0))}" y1="{px(ty)}" x2="{px(tx)}" y2="{px(ty)}"/>'
+                f'x1="{px(ox)}" y1="{px(ty)}" x2="{px(tx)}" y2="{px(ty)}"/>'
             )
             body.append(
                 f'<text class="threshold-label" fill="{color}" '
-                f'x="{px(tx + 4.0)}" y="{px(y(0.0) - 6.0)}">φ_e</text>'
+                f'x="{px(tx + 4.0)}" y="{px(oy - 6.0)}">φ_e</text>'
             )
-        if spec.show_chords and threshold is not None:
-            tx, ty = x(threshold.phi_e), y(threshold.rho_e)
-            body.append(
-                f'<line class="origin-chord" stroke="{color}" stroke-width="1" '
-                f'x1="{px(x(0.0))}" y1="{px(y(0.0))}" x2="{px(tx)}" y2="{px(ty)}"/>'
-            )
+        if spec.show_chords:
+            body.append(origin_chord)
             body.append(
                 f'<line class="endpoint-chord" stroke="{color}" stroke-width="1" '
                 f'x1="{px(tx)}" y1="{px(ty)}" x2="{px(x(1.0))}" y2="{px(y(1.0))}"/>'
             )
-        if spec.show_beta:
-            try:
-                angle = beta_geometry(entry.test)
-                anchor = prevalence_threshold(entry.test)
-            except DegenerateTestError as exc:
-                warn("beta", entry, exc)
-            else:
-                ox, oy = x(0.0), y(0.0)
-                tx, ty = x(anchor.phi_e), y(anchor.rho_e)
-                if not spec.show_chords:
-                    body.append(
-                        f'<line class="origin-chord" stroke="{color}" stroke-width="1" '
-                        f'x1="{px(ox)}" y1="{px(oy)}" x2="{px(tx)}" y2="{px(ty)}"/>'
-                    )
-                # Angle arc at the origin, from the chord direction up to the
-                # vertical axis, drawn in pixel space.
-                dx, dy = tx - ox, ty - oy
-                norm = math.hypot(dx, dy)
-                sx = ox + _ARC_RADIUS * dx / norm
-                sy = oy + _ARC_RADIUS * dy / norm
-                ex, ey = ox, oy - _ARC_RADIUS
-                body.append(
-                    f'<path class="beta-arc" fill="none" stroke="{color}" '
-                    f'stroke-width="1" d="M {px(sx)} {px(sy)} '
-                    f'A {px(_ARC_RADIUS)} {px(_ARC_RADIUS)} 0 0 0 {px(ex)} {px(ey)}"/>'
-                )
-                chord_angle = math.atan2(dy, dx)
-                mid_angle = 0.5 * (chord_angle + (-math.pi / 2.0))
-                lx = ox + (_ARC_RADIUS + 14.0) * math.cos(mid_angle)
-                ly = oy + (_ARC_RADIUS + 14.0) * math.sin(mid_angle)
-                body.append(
-                    f'<text class="beta-label" fill="{color}" text-anchor="middle" '
-                    f'x="{px(lx)}" y="{px(ly + 4.0)}">β</text>'
-                )
+        if not spec.show_beta or report.beta is None:
+            continue
+        if not spec.show_chords:
+            body.append(origin_chord)
+        # Angle arc at the origin, from the chord direction up to the
+        # vertical axis, drawn in pixel space.
+        dx, dy = tx - ox, ty - oy
+        norm = math.hypot(dx, dy)
+        sx = ox + _ARC_RADIUS * dx / norm
+        sy = oy + _ARC_RADIUS * dy / norm
+        body.append(
+            f'<path class="beta-arc" fill="none" stroke="{color}" '
+            f'stroke-width="1" d="M {px(sx)} {px(sy)} '
+            f'A {px(_ARC_RADIUS)} {px(_ARC_RADIUS)} 0 0 0 {px(ox)} {px(oy - _ARC_RADIUS)}"/>'
+        )
+        mid_angle = 0.5 * (math.atan2(dy, dx) - math.pi / 2.0)
+        lx = ox + (_ARC_RADIUS + 14.0) * math.cos(mid_angle)
+        ly = oy + (_ARC_RADIUS + 14.0) * math.sin(mid_angle)
+        body.append(
+            f'<text class="beta-label" fill="{color}" text-anchor="middle" '
+            f'x="{px(lx)}" y="{px(ly + 4.0)}">β</text>'
+        )
     body.append("</g>")
 
     # Legend, entry order, top-left corner of the plot box.

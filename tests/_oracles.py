@@ -77,6 +77,23 @@ AUC_SMALL_LR_B05 = {
     1e-20: 8.8717109358641931989e-19,
 }
 
+# threshold point and endpoint chord where 1 - rho_e and 1 - phi_e cancel:
+# (a, b) -> (rho_e, endpoint-chord slope), computed with 50-digit arithmetic
+# at the exact binary value of each input and frozen at 20 significant digits
+THRESHOLD_EXTREMES = {
+    (1e-20, 0.5): (1.4142135621730950100e-10, 7071067811.8654754379),
+    (0.42873345447165806, 1.0 - 2.0**-53): (0.99999998390794822184, 1.6092052037112902566e-08),
+}
+
+# areas near epsilon = 1, at r = a/c - 1 = +-1e-3 and +-1e-2 for specificity
+# 0.5: sensitivity -> auc, computed and frozen as above
+AUC_NEAR_ONE_B05 = {
+    0.5005: 0.50016658338330000545,
+    0.4995: 0.49983324994996664269,
+    0.505: 0.50165838300236323449,
+    0.495: 0.49832494966426771564,
+}
+
 
 # --- independent computational routes --------------------------------------
 

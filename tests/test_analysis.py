@@ -24,6 +24,7 @@ from _oracles import (
     AUC,
     AUC_DIFF_0906_0609,
     AUC_DIFF_PAIR,
+    AUC_NEAR_ONE_B05,
     AUC_SMALL_LR_B05,
     BETA_DIFF_PAIR,
     SWEEP20_FINAL_AUC,
@@ -79,6 +80,11 @@ class TestAucClosedForm:
 
     @pytest.mark.parametrize("a,expected", sorted(AUC_SMALL_LR_B05.items()))
     def test_small_likelihood_ratio_keeps_its_digits(self, a, expected):
+        assert auc_closed_form(ScreeningTest(a, 0.5)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("a,expected", sorted(AUC_NEAR_ONE_B05.items()))
+    def test_near_unit_likelihood_ratio_keeps_its_digits(self, a, expected):
+        # r - log1p(r) cancels here; the series branch keeps full precision.
         assert auc_closed_form(ScreeningTest(a, 0.5)) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @given(a=st.floats(min_value=1e-300, max_value=0.3), b=st.floats(min_value=0.0, max_value=0.7))

@@ -56,6 +56,27 @@ class TestAnalyze:
         code, _, _ = run(["analyze", "--sens", "0.9"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["analyze", "--sens", "abc", "--spec", "0.5"], "argument --sens: 'abc' is not a number"),
+            (["curve", "--sens", "0.5", "--spec", "0.5", "--samples", "x"],
+             "argument --samples: 'x' is not an integer"),
+            (["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--n", "0"],
+             "argument --n: value must be >= 1"),
+            (["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--seed", "x"],
+             "argument --seed: 'x' is not an integer"),
+            (["compare", "--test1", "x,0.5", "--test2", "0.5,0.5"],
+             "argument --test1: could not convert string to float: 'x'"),
+            (["compare", "--test1", "0.5,0.5", "--test2", "1.5,0.5"],
+             "argument --test2: sensitivity must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_malformed_argument_is_usage_error(self, argv, message):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestCurve:
     def test_stdout_csv(self):
@@ -119,6 +140,11 @@ class TestCompare:
         )
         assert code == 2 and out == ""
         assert "eps_tol" in err
+
+    def test_identical_tests_coincide(self):
+        code, out, _ = run(["compare", "--test1", "0.9,0.8", "--test2", "0.9,0.8"])
+        assert code == 0
+        assert "dominant: neither (curves coincide)" in out.splitlines()
 
     def test_degenerate_member(self):
         code, _, err = run(["compare", "--test1", "0,1", "--test2", "0.75,0.95"])
@@ -214,6 +240,15 @@ class TestSimulate:
         assert code == 0
         assert "undefined" in out
 
+    def test_no_true_positives(self):
+        code, out, _ = run(
+            ["simulate", "--sens", "0", "--spec", "0.5", "--prev", "0.5", "--n", "100"]
+        )
+        assert code == 0
+        assert line_value(out, "empirical LR+:") == (
+            "undefined (no true positives: empirical LR+ collapses to 0)"
+        )
+
 
 class TestCatalogCommand:
     def test_batch_report(self, tmp_path):
@@ -270,6 +305,21 @@ class TestCatalogCommand:
     def test_missing_file(self):
         code, _, err = run(["catalog", "/no/such/file.csv"])
         assert code == 2
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        def outputs(name, text):
+            catalog = tmp_path / f"{name}.csv"
+            catalog.write_text(text, encoding="utf-8")
+            target = tmp_path / f"{name}.svg"
+            plot = run(["plot", "--catalog", str(catalog), "--out", str(target), "--threshold"])
+            report = run(["catalog", str(catalog)])
+            payload = run(["catalog", str(catalog), "--json"])
+            return report, payload, plot, target.read_bytes()
+
+        text = "name,sensitivity,specificity\ngood,0.95,0.75\nbroken,0,0.5\n"
+        plain = outputs("plain", text)
+        assert [result[0] for result in plain[:3]] == [0, 0, 0]
+        assert outputs("marked", "\ufeff" + text) == plain
 
 
 class TestTinySensitivity:

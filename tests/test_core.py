@@ -4,8 +4,9 @@ import importlib
 import math
 import types
 
+import numpy
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from screencurve import (
@@ -45,7 +46,7 @@ class TestScreeningTest:
         with pytest.raises(ParameterError):
             ScreeningTest(0.5, bad)
 
-    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("flag", [True, False, numpy.True_, numpy.False_])
     def test_rejects_booleans(self, flag):
         with pytest.raises(ParameterError, match="must be a real number"):
             ScreeningTest(flag, 0.5)
@@ -141,6 +142,19 @@ class TestCurveSamples:
         assert samples[34].rho == pytest.approx(
             ppv(ScreeningTest(0.9, 0.8), 0.34), rel=1e-15
         )
+
+    @given(a=unit, b=unit, n=st.integers(min_value=2, max_value=300))
+    @example(a=5e-324, b=1.0, n=257)
+    @example(a=1e-320, b=1.0, n=3)
+    @example(a=0.0, b=0.5, n=2)
+    @example(a=0.0, b=1.0 - 2.0**-53, n=257)
+    def test_defined_samples_are_contiguous(self, a, b, n):
+        # The SVG renderer draws the defined samples as a single polyline.
+        pattern = "".join(
+            "1" if point.defined else "0"
+            for point in curve_samples(ScreeningTest(a, b), n)
+        )
+        assert "0" not in pattern.strip("0")
 
     def test_curve_point_defined_flag(self):
         assert CurvePoint(0.5, 0.5).defined

@@ -43,6 +43,7 @@ from _oracles import (
     PSI_9575,
     RHO_E_7595,
     RHO_E_9575,
+    THRESHOLD_EXTREMES,
     bisect_root,
     central_diff,
 )
@@ -217,6 +218,16 @@ class TestEndpointChordLine:
         assert line.intercept == pytest.approx(ENDPOINT_INTERCEPT_9575, rel=1e-12)
         line2 = endpoint_chord_line(ScreeningTest(0.75, 0.95))
         assert line2.intercept == pytest.approx(ENDPOINT_INTERCEPT_7595, rel=1e-12)
+
+    @pytest.mark.parametrize("key,expected", sorted(THRESHOLD_EXTREMES.items()))
+    def test_extreme_tests_keep_their_digits(self, key, expected):
+        # 1 - rho_e and 1 - phi_e cancel here; rho_e and the slope must not.
+        rho_e, slope = expected
+        t = ScreeningTest(*key)
+        assert prevalence_threshold(t).rho_e == pytest.approx(rho_e, rel=1e-14, abs=0.0)
+        line = endpoint_chord_line(t)
+        assert line.slope == pytest.approx(slope, rel=1e-14, abs=0.0)
+        assert line.intercept == 1.0 - line.slope
 
     @given(a=interior, b=interior)
     def test_line_passes_through_both_anchor_points(self, a, b):

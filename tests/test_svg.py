@@ -1,5 +1,7 @@
 """Structure and determinism of the SVG screening-plane renderer."""
 
+import hashlib
+import itertools
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -44,6 +46,36 @@ class TestDocumentShape:
             show_chords=True,
         )
         assert render_screening_plane(spec) == render_screening_plane(spec)
+
+    def test_bytes_are_pinned(self):
+        # A healthy row plus every way an overlay or curve sample can be
+        # undefined: sensitivity 0, specificity 1, both, a subnormal
+        # sensitivity, a threshold that rounds to 1, and a threshold that is
+        # defined while beta rounds to pi/2.
+        rows = [
+            ("healthy", 0.95, 0.75),
+            ("blind", 0.0, 0.5),
+            ("certain", 0.9, 1.0),
+            ("void", 0.0, 1.0),
+            ("tiniest", 5e-324, 1.0),
+            ("faint", 1e-40, 0.5),
+            ("steep", 2e-32, 0.0),
+        ]
+        entries = tuple(CatalogEntry(name, ScreeningTest(a, b)) for name, a, b in rows)
+        digest = hashlib.sha256()
+        for samples in (2, 3, 257):
+            for threshold, beta, chords in itertools.product((False, True), repeat=3):
+                spec = PlotSpec(
+                    entries=entries,
+                    samples=samples,
+                    show_threshold=threshold,
+                    show_beta=beta,
+                    show_chords=chords,
+                )
+                digest.update(render_screening_plane(spec).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "dcc6a55318827ca3462e48688ba01c8f1d9cf8fa61d82a85e86c567417b55ec9"
+        )
 
     def test_custom_size(self):
         text = render(width_px=800, height_px=500)
