@@ -151,3 +151,65 @@ def trapezoid_auc(a: float, b: float, n: int = 4_000_001) -> float:
         total += 0.5 * (prev + cur) * step
         prev = cur
     return total
+
+
+# --- splitmix64 cohort ------------------------------------------------------
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_next(state: int) -> tuple[int, int]:
+    """One step of the sequential splitmix64 generator: (new state, output)."""
+    state = (state + _GOLDEN) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def cohort_counts(a: float, b: float, phi: float, n: int,
+                  seed: int) -> tuple[int, int, int, int]:
+    """(true_pos, false_pos, true_neg, false_neg) of the counter-mode cohort.
+
+    Runs the sequential generator from ``seed`` (reduced mod 2^64): subject i
+    draws disease from its (2i+1)-th output and the test from its (2i+2)-th,
+    each compared as the float (word >> 11) * 2^-53.
+    """
+    state = seed & _MASK64
+    fpr = 1.0 - b
+    tp = fp = tn = fn = 0
+    for _ in range(n):
+        state, disease_word = splitmix64_next(state)
+        state, test_word = splitmix64_next(state)
+        diseased = (disease_word >> 11) * 2.0**-53 < phi
+        positive = (test_word >> 11) * 2.0**-53 < (a if diseased else fpr)
+        if diseased:
+            tp, fn = (tp + 1, fn) if positive else (tp, fn + 1)
+        else:
+            fp, tn = (fp + 1, tn) if positive else (fp, tn + 1)
+    return tp, fp, tn, fn
+
+
+def unmix64(word: int) -> int:
+    """Inverse of the splitmix64 finalizer: the z with mix64(z) == word.
+
+    Lets a test choose a seed whose k-th output is any given word.
+    """
+
+    def unshift(z: int, s: int) -> int:
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(word, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    return unshift(z, 30)
+
+
+def seed_for_output(word: int, k: int) -> int:
+    """A seed in [0, 2^64) whose counter-stream output k is ``word``."""
+    return (unmix64(word) - k * _GOLDEN) & _MASK64

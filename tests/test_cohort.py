@@ -1,5 +1,6 @@
 """Counter-based synthetic cohorts: determinism, tallies, and statistics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from screencurve import (
 )
 from screencurve.cohort import _stream_output
 
-from _oracles import MC_PPV_9575_AT_034
+from _oracles import MC_PPV_9575_AT_034, cohort_counts, seed_for_output
 
 ANCHOR = ScreeningTest(0.95, 0.75)
 
@@ -47,6 +48,73 @@ class TestGeneratorCore:
                 _stream_output(np.uint64(seed), np.array([k], dtype=np.uint64))[0]
             )
             assert got == expected
+
+
+def counts(result):
+    return (result.true_pos, result.false_pos, result.true_neg, result.false_neg)
+
+
+#: Probabilities at which a draw's comparison is easiest to get wrong: the
+#: ends, 0.5 (where p * 2^53 is an integer, so "<" and "<=" differ) and the
+#: extreme floats next to the ends.
+EDGES = [0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53]
+
+#: Specificities whose false-positive rate 1 - b lands on each edge that a
+#: specificity can reach (1 - b is never 5e-324).
+EDGE_SPECIFICITIES = [1.0, 0.0, 0.5, 2.0**-53, 1.0 - 2.0**-53]
+
+#: Raw words on either side of every edge's cutoff: the draw (word >> 11) *
+#: 2^-53 is 0 for the first two, 2^-53 at 2048, 1/2 - 2^-53 and 1/2 at
+#: 2^63 - 1 and 2^63, 1 - 2^-52 and 1 - 2^-53 at the last three.
+EDGE_WORDS = [0, 2047, 2048, 2**63 - 1, 2**63, 2**64 - 2049, 2**64 - 2048, 2**64 - 1]
+
+
+class TestGoldenCounts:
+    """Exact counts against the pure-Python splitmix64 oracle in _oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_draws_on_every_cutoff_edge(self, n):
+        # Seeds chosen so that subject 0's disease draw (output 1) or test
+        # draw (output 2) is an edge word, each also given as a negative and
+        # as a >= 2^64 seed, plus two arbitrary seeds.
+        seeds = [-1, (1 << 64) + 12345]
+        for word, output in itertools.product(EDGE_WORDS, (1, 2)):
+            seed = seed_for_output(word, output)
+            seeds += [seed, seed - (1 << 64), seed + (1 << 64)]
+        for phi, a, b in itertools.product(EDGES, EDGES, EDGE_SPECIFICITIES):
+            test = ScreeningTest(a, b)
+            for seed in seeds:
+                got = counts(simulate_cohort(test, phi, n, seed))
+                assert got == cohort_counts(a, b, phi, n, seed), (phi, a, b, seed)
+
+    @pytest.mark.parametrize("n", [65535, 65536, 65537])
+    def test_either_side_of_a_chunk_boundary(self, n):
+        # The last subject's disease draw sits on the 0.5 edge: just inside
+        # it for one seed, just outside for the other.
+        inside = seed_for_output(2**63 - 1, 2 * n - 1) - (1 << 64)
+        outside = seed_for_output(2**63, 2 * n - 1) + (1 << 64)
+        cases = [
+            (0.95, 0.75, 0.34, -(1 << 63) + 17),
+            (1.0 - 2.0**-53, 2.0**-53, 0.5, inside),
+            (0.5, 0.5, 0.5, outside),
+        ]
+        for a, b, phi, seed in cases:
+            got = counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed))
+            assert got == cohort_counts(a, b, phi, n, seed), (a, b, phi, seed)
+
+    @pytest.mark.parametrize(
+        "a, b, phi, n, seed, expected",
+        [
+            (0.95, 0.75, 0.34, (1 << 20) - 1, -7, (339404, 173040, 518585, 17546)),
+            (0.5, 1.0 - 2.0**-53, 0.5, (1 << 20) + 1, (1 << 64) + 99,
+             (262636, 0, 524356, 261585)),
+            (0.8, 0.9, 0.02, 1_000_003, 2024, (15978, 97457, 882619, 3949)),
+        ],
+    )
+    def test_frozen_large_cohorts(self, a, b, phi, n, seed, expected):
+        # Frozen from the library and checked once against cohort_counts
+        # (a few seconds each in pure Python, too slow to repeat here).
+        assert counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed)) == expected
 
 
 class TestSimulateCohort:
