@@ -20,14 +20,29 @@ Subject model: disease with probability phi; if diseased, a positive test
 with probability sensitivity, else a positive test with probability
 1 - specificity.  Zero-positive cohorts yield absent estimates with a
 reason, never a fabricated value.
+
+Kernel.  A draw never becomes a float: for a word w and a probability p,
+the uniform (w >> 11) * 2^-53 is below p exactly when w < ceil(p * 2^53) *
+2^11.  Proof: k = w >> 11 is an integer and p * 2^53 is exact (scaling by a
+power of two), so k * 2^-53 < p <=> k < p * 2^53 <=> k < ceil(p * 2^53) <=>
+w < ceil(p * 2^53) * 2^11.  At p = 1 that cutoff is 2^64 and every draw
+passes.  Words are mixed in place in preallocated uint64 blocks, and only
+three numbers are counted: diseased subjects, true positives and false
+positives.  A large cohort is cut into one contiguous range of subjects per
+core, each counted on its own thread (numpy releases the interpreter lock
+inside its loops), and the counts are summed; by the stream layout above
+this gives the same counts for any number of workers.  numpy is imported on
+the first simulation, not when the package is imported.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import ScreeningTest, _require_int, _require_probability
 from .errors import AbsentEstimateError, ParameterError
@@ -39,31 +54,149 @@ __all__ = [
     "empirical_ppv_curve",
 ]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_ONE = np.uint64(1)
-_TWO = np.uint64(2)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
 
-#: Subjects are simulated in blocks of this size to bound peak memory.
-_CHUNK = 1 << 20
+#: Subjects per block.  A worker mixes a block's 2^16 words in place in two
+#: 512 KiB uint64 buffers, which stay in a core's cache; larger blocks ran
+#: slower, and each numpy call must still be long against the hand-over of
+#: the interpreter lock between workers.
+_CHUNK = 1 << 15
 
-
-def _mix64(state: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 arrays (wraps mod 2^64)."""
-    state = (state ^ (state >> np.uint64(30))) * _MIX_1
-    state = (state ^ (state >> np.uint64(27))) * _MIX_2
-    return state ^ (state >> np.uint64(31))
-
-
-def _stream_output(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
-    """Raw 64-bit output ``value(counter)`` of the seeded counter stream."""
-    return _mix64(seed + counter * _GOLDEN)
+#: A cohort is split between workers only when each gets at least this many
+#: blocks, so that starting threads stays a small share of the work.
+_BLOCKS_PER_WORKER = 4
 
 
-def _to_unit_interval(words: np.ndarray) -> np.ndarray:
-    """Top 53 bits of each word as a float64 uniform in [0, 1)."""
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def _mix64(z: int) -> int:
+    """splitmix64 finalizer on one 64-bit integer (wraps mod 2^64)."""
+    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK
+    return z ^ (z >> 31)
+
+
+@functools.cache
+def _numpy():
+    """numpy and the finalizer's uint64 multipliers, imported on first use."""
+    import numpy as np
+
+    return np, np.uint64(_MIX_1), np.uint64(_MIX_2)
+
+
+@functools.cache
+def _steps(chunk: int):
+    """Read-only counter offsets 2j * golden (mod 2^64) for j < chunk."""
+    np = _numpy()[0]
+    steps = np.arange(chunk, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK)
+    steps.flags.writeable = False
+    return steps
+
+
+def _mix_in_place(words, scratch) -> None:
+    """splitmix64 finalizer, elementwise and in place on a uint64 array."""
+    np, mix_1, mix_2 = _numpy()
+    for shift, factor in ((30, mix_1), (27, mix_2)):
+        np.right_shift(words, shift, out=scratch)
+        np.bitwise_xor(words, scratch, out=words)
+        np.multiply(words, factor, out=words)
+    np.right_shift(words, 31, out=scratch)
+    np.bitwise_xor(words, scratch, out=words)
+
+
+def _stream_output(seed, counter):
+    """Raw 64-bit outputs ``value(counter)`` for a uint64 seed and counter array."""
+    np = _numpy()[0]
+    words = seed + counter * np.uint64(_GOLDEN)
+    _mix_in_place(words, np.empty_like(words))
+    return words
+
+
+def _cutoff(p: float) -> int:
+    """The word w0 with (w >> 11) * 2^-53 < p exactly when w < w0."""
+    return math.ceil(p * 2.0**53) << 11
+
+
+def _below(words, cutoff: int, out):
+    """``words < cutoff`` into the bool array ``out``; 2^64 passes every word."""
+    if cutoff > _MASK:
+        out.fill(True)
+        return out
+    np = _numpy()[0]
+    return np.less(words, np.uint64(cutoff), out=out)
+
+
+def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
+    """(diseased, true positives, false positives) among subjects [lo, hi)."""
+    np = _numpy()[0]
+    phi_cut, a_cut, fpr_cut = cutoffs
+    chunk = _CHUNK
+    steps = _steps(chunk)
+    size = min(chunk, hi - lo)
+    # A block of m subjects holds its disease words in words[:m] and its
+    # test words in words[m:2m], so one pass mixes both.
+    words = np.empty(2 * size, dtype=np.uint64)
+    scratch = np.empty(2 * size, dtype=np.uint64)
+    sick_buffer = np.empty(size, dtype=bool)
+    hit_buffer = np.empty(size, dtype=bool)
+    diseased = true_pos = false_pos = 0
+    for start in range(lo, hi, chunk):
+        m = min(chunk, hi - start)
+        # Subject start + j draws from counters 2(start + j) + 1 and + 2.
+        base = seed + (2 * start + 1) * _GOLDEN
+        disease, test = words[:m], words[m : 2 * m]
+        np.add(steps[:m], np.uint64(base & _MASK), out=disease)
+        np.add(steps[:m], np.uint64((base + _GOLDEN) & _MASK), out=test)
+        _mix_in_place(words[: 2 * m], scratch[: 2 * m])
+        sick = _below(disease, phi_cut, sick_buffer[:m])
+        diseased += int(np.count_nonzero(sick))
+        hit = _below(test, a_cut, hit_buffer[:m])
+        true_pos += int(np.count_nonzero(np.logical_and(hit, sick, out=hit)))
+        hit = _below(test, fpr_cut, hit)
+        false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
+    return diseased, true_pos, false_pos
+
+
+def _workers(n: int) -> int:
+    """Workers for n subjects: one per usable core, each given enough blocks."""
+    most = n // (_BLOCKS_PER_WORKER * _CHUNK)
+    if most < 2:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return min(cores, most)
+
+
+def _count(seed: int, cutoffs: tuple[int, int, int], n: int):
+    """_tally over subjects [0, n), one contiguous range per worker thread."""
+    workers = _workers(n)
+    if workers == 1:
+        return _tally(seed, cutoffs, 0, n)
+    bounds = [n * w // workers for w in range(workers + 1)]
+    results: list = [None] * workers
+
+    def work(w: int) -> None:
+        try:
+            results[w] = _tally(seed, cutoffs, bounds[w], bounds[w + 1])
+        except BaseException as exc:  # re-raised in the calling thread below
+            results[w] = exc
+
+    threads = []
+    try:
+        for w in range(workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            threads.append(thread)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return tuple(map(sum, zip(*results)))
 
 
 def _normalize_seed(seed: int) -> int:
@@ -137,30 +270,14 @@ def simulate_cohort(
     phi = _require_probability("phi", phi)
     n = _require_int("n", n, 1)
     seed_value = _normalize_seed(seed)
-    seed64 = np.uint64(seed_value)
-    a = test.sensitivity
-    fpr = 1.0 - test.specificity
-
-    true_pos = false_pos = true_neg = false_neg = 0
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        index = np.arange(lo, hi, dtype=np.uint64)
-        disease_draw = _to_unit_interval(
-            _stream_output(seed64, index * _TWO + _ONE)
-        )
-        test_draw = _to_unit_interval(
-            _stream_output(seed64, index * _TWO + _TWO)
-        )
-        diseased = disease_draw < phi
-        positive = np.where(diseased, test_draw < a, test_draw < fpr)
-        true_pos += int(np.count_nonzero(diseased & positive))
-        false_neg += int(np.count_nonzero(diseased & ~positive))
-        false_pos += int(np.count_nonzero(~diseased & positive))
-        true_neg += int(np.count_nonzero(~diseased & ~positive))
-
+    cutoffs = (
+        _cutoff(phi),
+        _cutoff(test.sensitivity),
+        _cutoff(1.0 - test.specificity),
+    )
+    diseased_total, true_pos, false_pos = _count(seed_value, cutoffs, n)
+    healthy_total = n - diseased_total
     positives = true_pos + false_pos
-    diseased_total = true_pos + false_neg
-    healthy_total = false_pos + true_neg
 
     ppv_value: float | None
     ppv_reason: str | None
@@ -188,8 +305,8 @@ def simulate_cohort(
         seed=seed_value,
         true_pos=true_pos,
         false_pos=false_pos,
-        true_neg=true_neg,
-        false_neg=false_neg,
+        true_neg=healthy_total - false_pos,
+        false_neg=diseased_total - true_pos,
         empirical_ppv=ppv_value,
         empirical_lr_plus=lr_value,
         ppv_reason=ppv_reason,
@@ -208,13 +325,12 @@ def empirical_ppv_curve(
     cohort has no positives are reported with ``ppv=None`` and a reason.
     """
     n = _require_int("n", n, 1)
-    seed64 = np.uint64(_normalize_seed(seed))
+    seed_value = _normalize_seed(seed)
     prevalences = [_require_probability(f"phis[{k}]", p) for k, p in enumerate(phis)]
 
     points: list[EmpiricalPoint] = []
     for k, phi in enumerate(prevalences):
-        counter = np.array([k + 1], dtype=np.uint64)
-        derived_seed = int(_stream_output(seed64, counter)[0])
+        derived_seed = _mix64((seed_value + (k + 1) * _GOLDEN) & _MASK)
         cohort = simulate_cohort(test, phi, n, derived_seed)
         points.append(
             EmpiricalPoint(

@@ -172,23 +172,34 @@ class TestSimulateCohort:
         assert abs(prev_hat - 0.34) <= 4.0 * prev_se
         assert result.empirical_lr_plus == pytest.approx(3.8, rel=0.05)
 
-    def test_chunking_is_invisible(self):
-        # Counter-mode output must not depend on internal batch boundaries.
+    @pytest.mark.parametrize(
+        "chunk, workers", [(1_000, 1), (1_000, 2), (1_000, 3), (7, 3), (4_096, 2)]
+    )
+    def test_chunking_is_invisible(self, monkeypatch, chunk, workers):
+        # Counter-mode output must not depend on internal block boundaries
+        # or on how the subjects are split between worker threads.
         from screencurve import cohort as mod
 
         big = simulate_cohort(ANCHOR, 0.41, 4_096, 99)
-        original = mod._CHUNK
-        try:
-            mod._CHUNK = 1_000  # force several unequal chunks
-            small = simulate_cohort(ANCHOR, 0.41, 4_096, 99)
-        finally:
-            mod._CHUNK = original
-        assert (big.true_pos, big.false_pos, big.true_neg, big.false_neg) == (
-            small.true_pos,
-            small.false_pos,
-            small.true_neg,
-            small.false_neg,
-        )
+        monkeypatch.setattr(mod, "_CHUNK", chunk)
+        monkeypatch.setattr(mod, "_workers", lambda n: workers)
+        small = simulate_cohort(ANCHOR, 0.41, 4_096, 99)
+        assert counts(big) == counts(small)
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        from screencurve import cohort as mod
+
+        tally = mod._tally
+
+        def failing_tally(seed, cutoffs, lo, hi):
+            if lo > 0:
+                raise MemoryError("worker out of memory")
+            return tally(seed, cutoffs, lo, hi)
+
+        monkeypatch.setattr(mod, "_workers", lambda n: 2)
+        monkeypatch.setattr(mod, "_tally", failing_tally)
+        with pytest.raises(MemoryError, match="worker out of memory"):
+            simulate_cohort(ANCHOR, 0.41, 4_096, 99)
 
     def test_absent_estimates_with_reasons(self):
         # A test that never fires yields no positives, hence no PPV estimate.
@@ -231,6 +242,12 @@ class TestEmpiricalCurve:
         two = empirical_ppv_curve(ANCHOR, phis, 10_000, 5)
         assert [p.phi for p in one] == phis
         assert [(p.phi, p.ppv) for p in one] == [(p.phi, p.ppv) for p in two]
+        # Point k's seed is output k + 1 of the master seed's stream.
+        assert [p.cohort.seed for p in one] == [
+            0x63033B0CA389C35A,
+            0xC097314D939736F8,
+            0x3B92D3F0106BC147,
+        ]
 
     def test_points_track_the_exact_curve(self):
         phis = [0.2, 0.5, 0.8]

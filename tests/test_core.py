@@ -2,13 +2,18 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import screencurve
 from screencurve import (
     CurvePoint,
     IndeterminateError,
@@ -174,3 +179,25 @@ def test_numpy_stays_in_the_cohort_simulator(module):
         if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "numpy"
     ]
     assert numpy_modules == []
+
+
+def test_numpy_loads_on_the_first_simulation():
+    script = """
+import io, sys
+from screencurve.cli import cli_dispatch
+assert "numpy" not in sys.modules, "numpy loaded by the import"
+argv = ["analyze", "--sens", "0.95", "--spec", "0.75", "--json"]
+assert cli_dispatch(argv, io.StringIO(), io.StringIO()) == 0
+assert "numpy" not in sys.modules, "numpy loaded by analyze"
+out = io.StringIO()
+argv = ["simulate", "--sens", "0.95", "--spec", "0.75", "--prev", "0.34", "--n", "1000"]
+assert cli_dispatch(argv, out, io.StringIO()) == 0
+assert "numpy" in sys.modules and "cohort size: 1000" in out.getvalue()
+"""
+    src = str(Path(screencurve.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
