@@ -60,9 +60,8 @@ _MIX_2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 #: Subjects per block.  A worker mixes a block's 2^16 words in place in two
-#: 512 KiB uint64 buffers, which stay in a core's cache; larger blocks ran
-#: slower, and each numpy call must still be long against the hand-over of
-#: the interpreter lock between workers.
+#: 512 KiB uint64 buffers, which stay in a core's 2 MiB cache; blocks of
+#: 2^16 and 2^17 subjects ran slower on one thread and no faster on two.
 _CHUNK = 1 << 15
 
 #: A cohort is split between workers only when each gets at least this many

@@ -184,10 +184,14 @@ def cohort_counts(a: float, b: float, phi: float, n: int,
         state, test_word = splitmix64_next(state)
         diseased = (disease_word >> 11) * 2.0**-53 < phi
         positive = (test_word >> 11) * 2.0**-53 < (a if diseased else fpr)
-        if diseased:
-            tp, fn = (tp + 1, fn) if positive else (tp, fn + 1)
+        if diseased and positive:
+            tp += 1
+        elif diseased:
+            fn += 1
+        elif positive:
+            fp += 1
         else:
-            fp, tn = (fp + 1, tn) if positive else (fp, tn + 1)
+            tn += 1
     return tp, fp, tn, fn
 
 

@@ -170,8 +170,9 @@ def test_epsilon_is_not_nan_for_valid_tests():
     assert not math.isnan(ScreeningTest(0.0, 0.0).epsilon)
 
 
-@pytest.mark.parametrize("module", ["core", "geometry", "analysis"])
+@pytest.mark.parametrize("module", ["core", "geometry", "analysis", "cohort"])
 def test_numpy_stays_in_the_cohort_simulator(module):
+    # cohort imports numpy inside its kernel, on the first simulation.
     namespace = vars(importlib.import_module(f"screencurve.{module}"))
     numpy_modules = [
         name
@@ -184,6 +185,7 @@ def test_numpy_stays_in_the_cohort_simulator(module):
 def test_numpy_loads_on_the_first_simulation():
     script = """
 import io, sys
+import screencurve
 from screencurve.cli import cli_dispatch
 assert "numpy" not in sys.modules, "numpy loaded by the import"
 argv = ["analyze", "--sens", "0.95", "--spec", "0.75", "--json"]
