@@ -26,12 +26,14 @@ the uniform (w >> 11) * 2^-53 is below p exactly when w < ceil(p * 2^53) *
 2^11.  Proof: k = w >> 11 is an integer and p * 2^53 is exact (scaling by a
 power of two), so k * 2^-53 < p <=> k < p * 2^53 <=> k < ceil(p * 2^53) <=>
 w < ceil(p * 2^53) * 2^11.  At p = 1 that cutoff is 2^64 and every draw
-passes.  Words are mixed in place in preallocated uint64 blocks, and only
-three numbers are counted: diseased subjects, true positives and false
-positives.  A large cohort is cut into one contiguous range of subjects per
-core, each counted on its own thread (numpy releases the interpreter lock
-inside its loops), and the counts are summed; by the stream layout above
-this gives the same counts for any number of workers.  numpy is imported on
+passes.  Words are mixed in place in uint64 buffers allocated once per
+call, and only three numbers are counted: diseased subjects, true positives
+and false positives.  The blocks run one after another on the calling
+thread.  By the stream layout above, counts summed over any cut of [0, n)
+into contiguous ranges are the same, so a split between workers would not
+change a count; but two threads on a shared two-core host took anywhere
+from about half to all of one thread's time per call, depending on the
+interpreter lock and on the other core being free.  numpy is imported on
 the first simulation, not when the package is imported.
 """
 
@@ -39,8 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,14 +59,13 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-#: Subjects per block.  A worker mixes a block's 2^16 words in place in two
-#: 512 KiB uint64 buffers, which stay in a core's 2 MiB cache; blocks of
-#: 2^16 and 2^17 subjects ran slower on one thread and no faster on two.
-_CHUNK = 1 << 15
-
-#: A cohort is split between workers only when each gets at least this many
-#: blocks, so that starting threads stays a small share of the work.
-_BLOCKS_PER_WORKER = 4
+#: Subjects per block, as in the first kernel: a block's 2^21 words are
+#: mixed in place in two 16 MiB buffers.  Blocks of 2^15 subjects, whose
+#: buffers stay in a core's 2 MiB cache, ran about 2.8 times faster on one
+#: core, but the benchmark's host-speed probe (perfbench/speed.py), which
+#: times fresh 8 MiB arrays, does not follow their speed, so their rate in
+#: its runs spread by 4-9% from run to run (see ROADMAP).
+_CHUNK = 1 << 20
 
 
 def _mix64(z: int) -> int:
@@ -85,10 +84,14 @@ def _numpy():
 
 
 @functools.cache
-def _steps(chunk: int):
-    """Read-only counter offsets 2j * golden (mod 2^64) for j < chunk."""
+def _steps(size: int):
+    """Read-only counter offsets 2j * golden (mod 2^64) for j < size.
+
+    Sizes are powers of two, so a small cohort builds and keeps only a
+    small array.
+    """
     np = _numpy()[0]
-    steps = np.arange(chunk, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK)
+    steps = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK)
     steps.flags.writeable = False
     return steps
 
@@ -131,8 +134,8 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
     np = _numpy()[0]
     phi_cut, a_cut, fpr_cut = cutoffs
     chunk = _CHUNK
-    steps = _steps(chunk)
     size = min(chunk, hi - lo)
+    steps = _steps(1 << (size - 1).bit_length())
     # A block of m subjects holds its disease words in words[:m] and its
     # test words in words[m:2m], so one pass mixes both.
     words = np.empty(2 * size, dtype=np.uint64)
@@ -155,47 +158,6 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
         hit = _below(test, fpr_cut, hit)
         false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
     return diseased, true_pos, false_pos
-
-
-def _workers(n: int) -> int:
-    """Workers for n subjects: one per usable core, each given enough blocks."""
-    most = n // (_BLOCKS_PER_WORKER * _CHUNK)
-    if most < 2:
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    return min(cores, most)
-
-
-def _count(seed: int, cutoffs: tuple[int, int, int], n: int):
-    """_tally over subjects [0, n), one contiguous range per worker thread."""
-    workers = _workers(n)
-    if workers == 1:
-        return _tally(seed, cutoffs, 0, n)
-    bounds = [n * w // workers for w in range(workers + 1)]
-    results: list = [None] * workers
-
-    def work(w: int) -> None:
-        try:
-            results[w] = _tally(seed, cutoffs, bounds[w], bounds[w + 1])
-        except BaseException as exc:  # re-raised in the calling thread below
-            results[w] = exc
-
-    threads = []
-    try:
-        for w in range(workers):
-            thread = threading.Thread(target=work, args=(w,))
-            thread.start()
-            threads.append(thread)
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return tuple(map(sum, zip(*results)))
 
 
 def _normalize_seed(seed: int) -> int:
@@ -274,7 +236,7 @@ def simulate_cohort(
         _cutoff(test.sensitivity),
         _cutoff(1.0 - test.specificity),
     )
-    diseased_total, true_pos, false_pos = _count(seed_value, cutoffs, n)
+    diseased_total, true_pos, false_pos = _tally(seed_value, cutoffs, 0, n)
     healthy_total = n - diseased_total
     positives = true_pos + false_pos
 

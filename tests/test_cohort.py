@@ -88,9 +88,13 @@ class TestGoldenCounts:
                 assert got == cohort_counts(a, b, phi, n, seed), (phi, a, b, seed)
 
     @pytest.mark.parametrize("n", [65535, 65536, 65537])
-    def test_either_side_of_a_chunk_boundary(self, n):
-        # The last subject's disease draw sits on the 0.5 edge: just inside
-        # it for one seed, just outside for the other.
+    def test_either_side_of_a_chunk_boundary(self, monkeypatch, n):
+        # Blocks of 2^16 subjects end at 65536.  The last subject's disease
+        # draw sits on the 0.5 edge: just inside it for one seed, just
+        # outside for the other.
+        from screencurve import cohort as mod
+
+        monkeypatch.setattr(mod, "_CHUNK", 1 << 16)
         inside = seed_for_output(2**63 - 1, 2 * n - 1) - (1 << 64)
         outside = seed_for_output(2**63, 2 * n - 1) + (1 << 64)
         cases = [
@@ -173,33 +177,26 @@ class TestSimulateCohort:
         assert result.empirical_lr_plus == pytest.approx(3.8, rel=0.05)
 
     @pytest.mark.parametrize(
-        "chunk, workers", [(1_000, 1), (1_000, 2), (1_000, 3), (7, 3), (4_096, 2)]
+        "chunk, parts", [(1_000, 1), (1_000, 2), (1_000, 3), (7, 3), (4_096, 2)]
     )
-    def test_chunking_is_invisible(self, monkeypatch, chunk, workers):
+    def test_chunking_is_invisible(self, monkeypatch, chunk, parts):
         # Counter-mode output must not depend on internal block boundaries
-        # or on how the subjects are split between worker threads.
+        # or on how the subjects are cut into contiguous ranges.
         from screencurve import cohort as mod
 
-        big = simulate_cohort(ANCHOR, 0.41, 4_096, 99)
+        n = 4_096
+        big = simulate_cohort(ANCHOR, 0.41, n, 99)
         monkeypatch.setattr(mod, "_CHUNK", chunk)
-        monkeypatch.setattr(mod, "_workers", lambda n: workers)
-        small = simulate_cohort(ANCHOR, 0.41, 4_096, 99)
-        assert counts(big) == counts(small)
-
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
-        from screencurve import cohort as mod
-
-        tally = mod._tally
-
-        def failing_tally(seed, cutoffs, lo, hi):
-            if lo > 0:
-                raise MemoryError("worker out of memory")
-            return tally(seed, cutoffs, lo, hi)
-
-        monkeypatch.setattr(mod, "_workers", lambda n: 2)
-        monkeypatch.setattr(mod, "_tally", failing_tally)
-        with pytest.raises(MemoryError, match="worker out of memory"):
-            simulate_cohort(ANCHOR, 0.41, 4_096, 99)
+        assert counts(simulate_cohort(ANCHOR, 0.41, n, 99)) == counts(big)
+        cutoffs = (mod._cutoff(0.41), mod._cutoff(0.95), mod._cutoff(1.0 - 0.75))
+        bounds = [n * k // parts for k in range(parts + 1)]
+        tallies = [mod._tally(99, cutoffs, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        diseased, true_pos, false_pos = map(sum, zip(*tallies))
+        assert (true_pos, false_pos, diseased - true_pos) == (
+            big.true_pos,
+            big.false_pos,
+            big.false_neg,
+        )
 
     def test_absent_estimates_with_reasons(self):
         # A test that never fires yields no positives, hence no PPV estimate.
