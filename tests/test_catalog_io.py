@@ -1,5 +1,6 @@
 """Catalog parsing/round-tripping and the deterministic JSON/CSV emitters."""
 
+import hashlib
 import json
 
 import pytest
@@ -230,3 +231,20 @@ class TestEmitCurveCsv:
     def test_byte_determinism(self):
         samples = curve_samples(ScreeningTest(0.9, 0.8), 33)
         assert emit_curve_csv(samples) == emit_curve_csv(samples)
+
+    def test_bytes_are_pinned(self):
+        # A healthy row plus every way a sample can be undefined or extreme:
+        # sensitivity 0, specificity 1, both, a subnormal sensitivity, and
+        # tiny likelihood ratios with and without a false-positive rate of 1.
+        rows = [
+            (0.9, 0.8), (0.0, 0.5), (0.9, 1.0), (0.0, 1.0),
+            (5e-324, 1.0), (1e-40, 0.5), (2e-32, 0.0),
+        ]
+        digest = hashlib.sha256()
+        for a, b in rows:
+            for n in (2, 3, 101, 257):
+                text = emit_curve_csv(curve_samples(ScreeningTest(a, b), n))
+                digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "7f511329cacf720550aa3cd9d63c0d60304423d16eae22d3b36893e171cea5ca"
+        )

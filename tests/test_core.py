@@ -1,5 +1,6 @@
 """Pointwise curve function, parameter validation, and sampling."""
 
+import dataclasses
 import importlib
 import math
 import os
@@ -164,6 +165,36 @@ class TestCurveSamples:
     def test_curve_point_defined_flag(self):
         assert CurvePoint(0.5, 0.5).defined
         assert not CurvePoint(0.5, None).defined
+
+    @given(a=unit, b=unit, n=st.integers(min_value=2, max_value=300))
+    @example(a=5e-324, b=1.0, n=257)
+    @example(a=1e-320, b=0.0, n=3)
+    @example(a=0.0, b=1.0 - 2.0**-53, n=2)
+    @example(a=1.0, b=1.0, n=101)
+    @example(a=1.0 - 2.0**-53, b=5e-324, n=300)
+    @example(a=1.0, b=1e-320, n=257)
+    def test_samples_are_the_points_a_user_would_build(self, a, b, n):
+        for point in curve_samples(ScreeningTest(a, b), n):
+            rebuilt = CurvePoint(point.phi, point.rho)
+            assert point == rebuilt
+            assert hash(point) == hash(rebuilt)
+            assert repr(point) == repr(rebuilt)
+            assert type(point) is CurvePoint
+            assert type(point.phi) is float and 0.0 <= point.phi <= 1.0
+            assert point.rho is None or (type(point.rho) is float and 0.0 <= point.rho <= 1.0)
+
+    def test_samples_are_frozen_curve_points(self):
+        point = curve_samples(ScreeningTest(0.9, 0.8), 3)[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.phi = 0.25
+        assert [field.name for field in dataclasses.fields(CurvePoint)] == ["phi", "rho"]
+
+    @pytest.mark.parametrize(
+        "phi, rho", [(1.5, 0.5), (0.5, -0.1), (0.5, float("nan")), (True, 0.5)]
+    )
+    def test_user_built_points_are_validated(self, phi, rho):
+        with pytest.raises(ParameterError):
+            CurvePoint(phi, rho)
 
 
 def test_epsilon_is_not_nan_for_valid_tests():
