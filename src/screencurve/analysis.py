@@ -55,9 +55,9 @@ from .geometry import (
     BetaGeometry,
     ChordLine,
     ThresholdPoint,
+    _endpoint_chord,
     _reject_degenerate,
     beta_geometry,
-    endpoint_chord_line,
     lr_positive_direct,
     prevalence_threshold,
 )
@@ -240,13 +240,18 @@ def build_test_report(test: ScreeningTest, strict: bool = True) -> TestReport:
             reasons[name] = str(exc)
             return None
 
+    lr_plus = attempt("lr_plus", lambda: lr_positive_direct(test))
+    threshold = attempt("threshold", lambda: prevalence_threshold(test))
+    beta = attempt("beta", lambda: beta_geometry(test))
+    if threshold is None:  # the endpoint chord runs through the threshold point
+        reasons["endpoint_chord"] = reasons["threshold"]
     return TestReport(
         test=test,
         epsilon=test.epsilon,
-        lr_plus=attempt("lr_plus", lambda: lr_positive_direct(test)),
-        threshold=attempt("threshold", lambda: prevalence_threshold(test)),
-        beta=attempt("beta", lambda: beta_geometry(test)),
-        endpoint_chord=attempt("endpoint_chord", lambda: endpoint_chord_line(test)),
+        lr_plus=lr_plus,
+        threshold=threshold,
+        beta=beta,
+        endpoint_chord=None if threshold is None else _endpoint_chord(threshold),
         auc=attempt("auc", lambda: auc_closed_form(test)),
         absent_reasons=reasons,
     )

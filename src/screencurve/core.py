@@ -138,9 +138,28 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
     ``rho=None`` rather than interpolated or dropped, so emitters can report
     them explicitly.
 
+    Every sample is in range by construction (phi a float in [0, 1], rho a
+    float in [0, 1] or None), so the points skip ``CurvePoint``'s checks.
+    Each equals ``CurvePoint(p.phi, p.rho)``; a caller's ``CurvePoint`` is
+    still validated.
+
     Raises:
         ParameterError: if ``n`` is not an integer >= 2.
     """
     n = _require_int("n", n, 2)
     a, c = test.sensitivity, 1.0 - test.specificity
-    return [CurvePoint(k / (n - 1), _ppv(a, c, k / (n - 1))) for k in range(n)]
+    new, set_field = object.__new__, object.__setattr__
+    last = n - 1
+    points = []
+    for k in range(n):
+        # k <= n-1 and division rounds monotonically, so 0 <= phi <= 1;
+        # _ppv returns None or x/y with 0 <= x <= y, y > 0.  Both are floats
+        # that __post_init__ would return unchanged, so it is skipped.  The
+        # fields are set as the dataclass __init__ sets them, which keeps the
+        # instance layout (and attribute reads) of a validated point.
+        phi = k / last
+        point = new(CurvePoint)
+        set_field(point, "phi", phi)
+        set_field(point, "rho", _ppv(a, c, phi))
+        points.append(point)
+    return points

@@ -175,9 +175,10 @@ def emit_report(report: TestReport | ComparisonReport | CohortResult) -> str:
 def emit_curve_csv(samples: Iterable[CurvePoint]) -> str:
     """CSV rows ``phi,ppv`` with an empty ppv field where the value is 0/0."""
     lines = ["phi,ppv"]
+    # Each row inlines format_real's "%.12g" of float(value).
     for point in samples:
         if point.rho is None:
-            lines.append(f"{format_real(point.phi)},")
+            lines.append(f"{float(point.phi):.12g},")
         else:
-            lines.append(f"{format_real(point.phi)},{format_real(point.rho)}")
+            lines.append(f"{float(point.phi):.12g},{float(point.rho):.12g}")
     return "\n".join(lines) + "\n"

@@ -334,6 +334,10 @@ def endpoint_chord_line(test: ScreeningTest) -> ChordLine:
     absolute error of up to about 2.2e-16.  Degeneracies raise as in
     ``prevalence_threshold``.
     """
-    point = prevalence_threshold(test)
+    return _endpoint_chord(prevalence_threshold(test))
+
+
+def _endpoint_chord(point: ThresholdPoint) -> ChordLine:
+    """The line through ``point`` and (1, 1); see ``endpoint_chord_line``."""
     slope = point.phi_e / point.rho_e
     return ChordLine(slope=slope, intercept=1.0 - slope)

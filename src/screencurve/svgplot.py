@@ -151,8 +151,10 @@ def render_screening_plane(spec: PlotSpec) -> str:
     body.append('<g class="curves" fill="none" stroke-width="1.5">')
     for i, entry in enumerate(spec.entries):
         # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
+        # px(x(phi)) and px(y(rho)) inlined: the same expressions and bytes.
         points = [
-            f"{px(x(point.phi))},{px(y(point.rho))}"
+            f"{_MARGIN_LEFT + point.phi * plot_w:.2f},"
+            f"{_MARGIN_TOP + (1.0 - point.rho) * plot_h:.2f}"
             for point in curve_samples(entry.test, spec.samples)
             if point.rho is not None
         ]
