@@ -7,11 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from screencurve import (
+    BetaGeometry,
+    ChordLine,
     ComparatorInconsistencyError,
+    DegenerateAngleError,
     DegenerateTestError,
+    InfiniteLRError,
     NonConvergenceError,
     ParameterError,
     ScreeningTest,
+    ThresholdPoint,
+    ZeroLRError,
     auc_closed_form,
     auc_quadrature,
     build_test_report,
@@ -170,6 +176,102 @@ class TestLimitSweep:
             fts_limit_sweep(bad)
 
 
+_ZERO_SENSITIVITY = "degenerate at sensitivity=0"
+_UNIT_SPECIFICITY = "degenerate at specificity=1"
+_JOINT = "sensitivity=0 specificity=1"
+
+#: (sensitivity, specificity) -> (report fields, absent_reasons in order, and
+#: what the strict report raises as (class, message, limit), or None).
+FROZEN_REPORTS = {
+    (0.95, 0.75): (
+        dict(
+            epsilon=1.7,
+            lr_plus=3.8,
+            threshold=ThresholdPoint(phi_e=0.33905673891492605, rho_e=0.6609432610850741),
+            beta=BetaGeometry(
+                beta_rad=0.4739848706914468,
+                psi=0.512989176042577,
+                origin_slope=1.9493588689617927,
+            ),
+            endpoint_chord=ChordLine(slope=0.5129891760425771, intercept=0.4870108239574229),
+            auc=0.7100760135736107,
+        ),
+        [],
+        None,
+    ),
+    (0.0, 0.5): (
+        dict(epsilon=0.5, lr_plus=None, threshold=None, beta=None, endpoint_chord=None, auc=None),
+        [
+            ("lr_plus", "LR+ collapses to 0 at sensitivity=0"),
+            ("threshold", f"prevalence threshold is {_ZERO_SENSITIVITY} (limit 1 as sensitivity -> 0)"),
+            ("beta", f"curve angle is {_ZERO_SENSITIVITY} (limit pi/2)"),
+            ("endpoint_chord", f"prevalence threshold is {_ZERO_SENSITIVITY} (limit 1 as sensitivity -> 0)"),
+            ("auc", f"area under the curve is {_ZERO_SENSITIVITY} (limit 0)"),
+        ],
+        (ZeroLRError, "LR+ collapses to 0 at sensitivity=0", 0.0),
+    ),
+    (0.5, 1.0): (
+        dict(epsilon=1.5, lr_plus=None, threshold=None, beta=None, endpoint_chord=None, auc=None),
+        [
+            ("lr_plus", "LR+ diverges at specificity=1 with positive sensitivity"),
+            ("threshold", f"prevalence threshold is {_UNIT_SPECIFICITY} (limit 0 as specificity -> 1)"),
+            ("beta", f"curve angle is {_UNIT_SPECIFICITY} (limit 0)"),
+            ("endpoint_chord", f"prevalence threshold is {_UNIT_SPECIFICITY} (limit 0 as specificity -> 1)"),
+            ("auc", f"area under the curve is {_UNIT_SPECIFICITY} (limit 1)"),
+        ],
+        (InfiniteLRError, "LR+ diverges at specificity=1 with positive sensitivity", math.inf),
+    ),
+    (0.0, 1.0): (
+        dict(epsilon=1.0, lr_plus=None, threshold=None, beta=None, endpoint_chord=None, auc=None),
+        [
+            ("lr_plus", f"LR+ is 0/0 for {_JOINT}"),
+            ("threshold", f"prevalence threshold is indeterminate for {_JOINT}: "
+                          "sensitivity 0 and specificity 1 jointly leave it 0/0"),
+            ("beta", f"curve angle is indeterminate for {_JOINT}"),
+            ("endpoint_chord", f"prevalence threshold is indeterminate for {_JOINT}: "
+                               "sensitivity 0 and specificity 1 jointly leave it 0/0"),
+            ("auc", f"area under the curve is indeterminate for {_JOINT}"),
+        ],
+        (DegenerateTestError, f"LR+ is 0/0 for {_JOINT}", None),
+    ),
+    (1e-40, 0.5): (
+        dict(epsilon=0.5, lr_plus=2e-40, threshold=None, beta=None, endpoint_chord=None,
+             auc=1.8082051307840375e-38),
+        [
+            ("threshold", "prevalence threshold rounds to its limit 1 at sensitivity=1e-40 specificity=0.5"),
+            ("beta", "curve angle rounds to its limit pi/2 at sensitivity=1e-40 specificity=0.5"),
+            ("endpoint_chord", "prevalence threshold rounds to its limit 1 at sensitivity=1e-40 specificity=0.5"),
+        ],
+        (DegenerateTestError,
+         "prevalence threshold rounds to its limit 1 at sensitivity=1e-40 specificity=0.5", 1.0),
+    ),
+    (5e-324, 0.5): (
+        dict(epsilon=0.5, lr_plus=1e-323, threshold=None, beta=None, endpoint_chord=None, auc=7.337e-321),
+        [
+            ("threshold", "prevalence threshold rounds to its limit 1 at sensitivity=4.94066e-324 specificity=0.5"),
+            ("beta", "curve angle rounds to its limit pi/2 at sensitivity=4.94066e-324 specificity=0.5"),
+            ("endpoint_chord", "prevalence threshold rounds to its limit 1 at sensitivity=4.94066e-324 specificity=0.5"),
+        ],
+        (DegenerateTestError,
+         "prevalence threshold rounds to its limit 1 at sensitivity=4.94066e-324 specificity=0.5", 1.0),
+    ),
+    # The threshold is defined while the angle rounds to pi/2.
+    (2e-32, 0.0): (
+        dict(
+            epsilon=2e-32,
+            lr_plus=2e-32,
+            threshold=ThresholdPoint(phi_e=0.9999999999999998, rho_e=1.4142135623730949e-16),
+            beta=None,
+            endpoint_chord=ChordLine(slope=7071067811865475.0, intercept=-7071067811865474.0),
+            auc=1.4397915159049905e-30,
+        ),
+        [("beta", "curve angle rounds to its limit pi/2 at sensitivity=2e-32 specificity=0")],
+        (DegenerateAngleError,
+         "curve angle rounds to its limit pi/2 at sensitivity=2e-32 specificity=0", math.pi / 2.0),
+    ),
+}
+
+
 class TestReports:
     def test_complete_report(self):
         report = build_test_report(ScreeningTest(0.95, 0.75))
@@ -199,6 +301,26 @@ class TestReports:
             "auc",
         }
         assert all(isinstance(v, str) and v for v in report.absent_reasons.values())
+
+    @pytest.mark.parametrize("key", sorted(FROZEN_REPORTS))
+    def test_frozen_report(self, key):
+        fields, reasons, raised = FROZEN_REPORTS[key]
+        test = ScreeningTest(*key)
+        report = build_test_report(test, strict=False)
+        assert report.test == test
+        for name, expected in fields.items():
+            got = getattr(report, name)
+            assert got == expected and type(got) is type(expected), name
+        assert list(report.absent_reasons.items()) == reasons
+        if raised is None:
+            assert build_test_report(test, strict=True) == report
+            return
+        error, message, limit = raised
+        with pytest.raises(DegenerateTestError) as caught:
+            build_test_report(test, strict=True)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert caught.value.limit == limit and type(caught.value.limit) is type(limit)
 
 
 class TestCompareTests:
@@ -241,6 +363,18 @@ class TestCompareTests:
             compare_tests(ScreeningTest(0.0, 0.5), ScreeningTest(0.5, 0.5))
         with pytest.raises(DegenerateTestError, match="second test"):
             compare_tests(ScreeningTest(0.5, 0.5), ScreeningTest(0.5, 1.0))
+
+    @pytest.mark.parametrize("sensitivity,shown", [(1e-40, "1e-40"), (5e-324, "4.94066e-324")])
+    def test_tiny_likelihood_ratio_side_is_named(self, sensitivity, shown):
+        tiny, fair = ScreeningTest(sensitivity, 0.5), ScreeningTest(0.5, 0.5)
+        described = f"sensitivity={shown} specificity=0.5"
+        reason = f"prevalence threshold rounds to its limit 1 at {described}"
+        for role, pair in (("first", (tiny, fair)), ("second", (fair, tiny))):
+            with pytest.raises(DegenerateTestError) as caught:
+                compare_tests(*pair)
+            assert type(caught.value) is DegenerateTestError
+            assert str(caught.value) == f"{role} test ({described}): {reason}"
+            assert caught.value.limit == 1.0
 
     def test_eps_tol_validation(self):
         with pytest.raises(ParameterError):

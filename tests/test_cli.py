@@ -1,6 +1,8 @@
 """Command dispatch: exit codes, output shapes, and file handling."""
 
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -320,6 +322,51 @@ class TestCatalogCommand:
         plain = outputs("plain", text)
         assert [result[0] for result in plain[:3]] == [0, 0, 0]
         assert outputs("marked", "\ufeff" + text) == plain
+
+
+#: Named tests for the report pins: healthy rows, every degenerate kind,
+#: subnormal sensitivities, tiny likelihood ratios, and gain indices at or
+#: next to 1.
+REPORT_ROWS = [
+    ("anchor", 0.95, 0.75),
+    ("mirror", 0.75, 0.95),
+    ("coin", 0.5, 0.5),
+    ("sharp", 0.9999999999999999, 0.9999999999999999),
+    ("blind", 0.0, 0.5),
+    ("certain", 0.9, 1.0),
+    ("void", 0.0, 1.0),
+    ("tiniest", 5e-324, 0.5),
+    ("tiniest-certain", 5e-324, 1.0),
+    ("subnormal", 1e-310, 0.9),
+    ("faint", 1e-40, 0.5),
+    ("steep", 2e-32, 0.0),
+    ("small", 1e-20, 0.5),
+    ("flat", 0.3, 0.7),
+    ("near-one", 0.5, 0.5000000000001),
+    ("near-one-below", 0.6, 0.39999999),
+    ("near-one-edge", 0.999999, 1e-06),
+]
+
+
+class TestReportBytes:
+    def test_bytes_are_pinned(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text(
+            "name,sensitivity,specificity\n"
+            + "".join(f"{name},{a!r},{b!r}\n" for name, a, b in REPORT_ROWS)
+        )
+        pairs = [f"{a!r},{b!r}" for _, a, b in REPORT_ROWS]
+        runs = [["catalog", str(catalog)], ["catalog", str(catalog), "--json"]]
+        for first, second in itertools.product(pairs, repeat=2):
+            runs.append(["compare", "--test1", first, "--test2", second])
+            runs.append(["compare", "--test1", first, "--test2", second, "--json"])
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, err = run(argv)
+            digest.update(f"{code}\0{out}\0{err}\0".encode("utf-8"))
+        assert digest.hexdigest() == (
+            "f24a261bae9a0af903e593a543a7efa6ddd72516aa17e55f45f1f1202fe662ae"
+        )
 
 
 class TestTinySensitivity:
