@@ -51,16 +51,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .geometry import (
-    BetaGeometry,
-    ChordLine,
-    ThresholdPoint,
-    _endpoint_chord,
-    _reject_degenerate,
-    beta_geometry,
-    lr_positive_direct,
-    prevalence_threshold,
-)
+from .geometry import BetaGeometry, ChordLine, ThresholdPoint, _checked, _degenerate, _derive
 
 __all__ = [
     "TestReport",
@@ -90,7 +81,7 @@ def auc_closed_form(test: ScreeningTest) -> float:
     computed a - (1 - b) is exactly zero).  Raises DegenerateTestError for
     sensitivity 0 or specificity 1, carrying the limiting area.
     """
-    _reject_degenerate(test, "area under the curve")
+    _checked(_degenerate(test, "area under the curve"))
     a = test.sensitivity
     c = 1.0 - test.specificity
     r = (a - c) / c
@@ -131,7 +122,7 @@ def auc_quadrature(
             f"tol must be a real number >= {MIN_QUADRATURE_TOL:g}, got {tol!r}"
         )
     _require_int("max_depth", max_depth, 1)
-    _reject_degenerate(test, "area under the curve")
+    _checked(_degenerate(test, "area under the curve"))
     a = test.sensitivity
     c = 1.0 - test.specificity
 
@@ -229,32 +220,18 @@ def build_test_report(test: ScreeningTest, strict: bool = True) -> TestReport:
     ``strict=False`` the affected fields are reported as None plus a reason,
     which is what batch processing and the JSON emitter want.
     """
+    auc = _degenerate(test, "area under the curve") or auc_closed_form(test)
+    names = ("lr_plus", "threshold", "beta", "endpoint_chord", "auc")
+    fields: dict[str, object] = {}
     reasons: dict[str, str] = {}
-
-    def attempt(name, compute):
-        try:
-            return compute()
-        except DegenerateTestError as exc:
+    for name, value in zip(names, (*_derive(test), auc)):
+        if isinstance(value, DegenerateTestError):
             if strict:
-                raise
-            reasons[name] = str(exc)
-            return None
-
-    lr_plus = attempt("lr_plus", lambda: lr_positive_direct(test))
-    threshold = attempt("threshold", lambda: prevalence_threshold(test))
-    beta = attempt("beta", lambda: beta_geometry(test))
-    if threshold is None:  # the endpoint chord runs through the threshold point
-        reasons["endpoint_chord"] = reasons["threshold"]
-    return TestReport(
-        test=test,
-        epsilon=test.epsilon,
-        lr_plus=lr_plus,
-        threshold=threshold,
-        beta=beta,
-        endpoint_chord=None if threshold is None else _endpoint_chord(threshold),
-        auc=attempt("auc", lambda: auc_closed_form(test)),
-        absent_reasons=reasons,
-    )
+                raise value
+            reasons[name] = str(value)
+            value = None
+        fields[name] = value
+    return TestReport(test=test, epsilon=test.epsilon, **fields, absent_reasons=reasons)
 
 
 def _ordering(first_value: float, second_value: float, prefer: str) -> MetricOrdering:

@@ -107,14 +107,6 @@ def _mix_in_place(words, scratch) -> None:
     np.bitwise_xor(words, scratch, out=words)
 
 
-def _stream_output(seed, counter):
-    """Raw 64-bit outputs ``value(counter)`` for a uint64 seed and counter array."""
-    np = _numpy()[0]
-    words = seed + counter * np.uint64(_GOLDEN)
-    _mix_in_place(words, np.empty_like(words))
-    return words
-
-
 def _cutoff(p: float) -> int:
     """The word w0 with (w >> 11) * 2^-53 < p exactly when w < w0."""
     return math.ceil(p * 2.0**53) << 11

@@ -12,14 +12,15 @@ For a test with sensitivity ``a`` and specificity ``b`` (write c = 1 - b):
   threshold point (phi_e, rho(phi_e)) always lies on the antidiagonal:
   rho(phi_e) = 1 - phi_e.
 
-* The chord from (1, 1) down to the threshold point makes an angle beta
-  with the vertical axis through (1, 1), where
+* The chord from the origin to the threshold point makes an angle beta
+  with the vertical axis, where
 
       tan(beta) = psi = sqrt(c / a),
 
-  and the chord from the origin to the threshold point has slope
-  sqrt(a / c) = 1 / psi.  Hence cot^2(beta) = a / c, which is exactly the
-  positive likelihood ratio LR+ = a / (1 - b).
+  so that chord has slope sqrt(a / c) = 1 / psi.  Hence cot^2(beta) = a / c,
+  which is exactly the positive likelihood ratio LR+ = a / (1 - b).  The
+  endpoint chord, from the threshold point to (1, 1), has slope psi and so
+  makes the same angle beta with the horizontal through (1, 1).
 
 * More generally, at any interior prevalence phi the chord from the origin
   to (phi, rho(phi)) has slope rho/phi, the chord from (phi, rho(phi)) to
@@ -89,9 +90,9 @@ class ThresholdPoint:
 class BetaGeometry:
     """Angle geometry of the threshold chords.
 
-    ``beta_rad`` is the angle between the endpoint chord and the vertical,
-    ``psi = tan(beta_rad)``, and ``origin_slope = 1/psi`` is the slope of the
-    chord from the origin to the threshold point.
+    ``beta_rad`` is the angle between the vertical and the chord from the
+    origin to the threshold point, ``psi = tan(beta_rad)``, and
+    ``origin_slope = 1/psi`` is that chord's slope.
     """
 
     beta_rad: float
@@ -172,18 +173,62 @@ _DEGENERATE = {
 }
 
 
-def _reject_degenerate(test: ScreeningTest, quantity: str) -> None:
-    """Raise what ``quantity`` raises for sensitivity 0 or specificity 1, if anything."""
+def _degenerate(test: ScreeningTest, quantity: str) -> DegenerateTestError | None:
+    """The error ``quantity`` raises for sensitivity 0 or specificity 1, if any."""
     a, b = test.sensitivity, test.specificity
     if a != 0.0 and b != 1.0:
-        return
+        return None
     joint = a == 0.0 and b == 1.0
     case = _DEGENERATE[quantity][0 if joint else 1 if a == 0.0 else 2]
-    if case is not None:
-        error, message, limit = case
-        if joint:
-            message = message.format(test=test.describe())
-        raise error(f"{quantity} {message}", limit=limit)
+    if case is None:
+        return None
+    error, message, limit = case
+    if joint:
+        message = message.format(test=test.describe())
+    return error(f"{quantity} {message}", limit=limit)
+
+
+def _checked(value):
+    """``value``, raised instead when it is a DegenerateTestError."""
+    if isinstance(value, DegenerateTestError):
+        raise value
+    return value
+
+
+def _derive(test: ScreeningTest) -> tuple:
+    """(LR+, threshold point, angle geometry, endpoint chord) of ``test``.
+
+    Each entry is the value, or the DegenerateTestError that its public
+    function raises.  The endpoint chord runs through the threshold point,
+    so it holds the threshold's error when the threshold is undefined.
+    """
+    a, b = test.sensitivity, test.specificity
+    if a == 0.0 or b == 1.0:
+        threshold = _degenerate(test, "prevalence threshold")
+        return _degenerate(test, "LR+"), threshold, _degenerate(test, "curve angle"), threshold
+    c = 1.0 - b
+    root_a, root_c = math.sqrt(a), math.sqrt(c)
+    phi_e = root_c / (root_a + root_c)
+    if phi_e == 1.0:
+        threshold = chord = DegenerateTestError(
+            f"prevalence threshold rounds to its limit 1 at {test.describe()}", limit=1.0
+        )
+    else:
+        # rho_e = 1 - phi_e, taken from the roots: rho(phi_e) loses digits as phi_e -> 1.
+        rho_e = root_a / (root_a + root_c)
+        threshold = ThresholdPoint(phi_e=phi_e, rho_e=rho_e)
+        slope = phi_e / rho_e
+        chord = ChordLine(slope=slope, intercept=1.0 - slope)
+    psi = math.sqrt(c / a)
+    beta_rad = math.atan(psi)
+    if beta_rad == math.pi / 2.0:
+        beta = DegenerateAngleError(
+            f"curve angle rounds to its limit pi/2 at {test.describe()}",
+            limit=math.pi / 2.0,
+        )
+    else:
+        beta = BetaGeometry(beta_rad=beta_rad, psi=psi, origin_slope=math.sqrt(a / c))
+    return a / c, threshold, beta, chord
 
 
 def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:
@@ -194,15 +239,7 @@ def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:
     carries the limiting prevalence where one exists), and when LR+ is so
     small (below about 1e-32) that phi_e rounds to its limit 1.
     """
-    _reject_degenerate(test, "prevalence threshold")
-    root_a, root_c = math.sqrt(test.sensitivity), math.sqrt(1.0 - test.specificity)
-    phi_e = root_c / (root_a + root_c)
-    if phi_e == 1.0:
-        raise DegenerateTestError(
-            f"prevalence threshold rounds to its limit 1 at {test.describe()}", limit=1.0
-        )
-    # rho_e = 1 - phi_e, taken from the roots: rho(phi_e) loses digits as phi_e -> 1.
-    return ThresholdPoint(phi_e=phi_e, rho_e=root_a / (root_a + root_c))
+    return _checked(_derive(test)[1])
 
 
 def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
@@ -217,7 +254,7 @@ def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
         DegenerateTestError: when sensitivity 0 and specificity 1 jointly
             make the surd form 0/0.
     """
-    _reject_degenerate(test, "threshold forms")
+    _checked(_degenerate(test, "threshold forms"))
     a, b = test.sensitivity, test.specificity
     d = test.epsilon - 1.0
     if abs(d) < EPSILON_ONE_TOLERANCE:
@@ -238,17 +275,7 @@ def beta_geometry(test: ScreeningTest) -> BetaGeometry:
     specificity 1 (beta -> 0), and when LR+ is so small (below about 1e-32)
     that beta rounds to pi/2; the error carries the limiting angle.
     """
-    _reject_degenerate(test, "curve angle")
-    a = test.sensitivity
-    c = 1.0 - test.specificity
-    psi = math.sqrt(c / a)
-    beta_rad = math.atan(psi)
-    if beta_rad == math.pi / 2.0:
-        raise DegenerateAngleError(
-            f"curve angle rounds to its limit pi/2 at {test.describe()}",
-            limit=math.pi / 2.0,
-        )
-    return BetaGeometry(beta_rad=beta_rad, psi=psi, origin_slope=math.sqrt(a / c))
+    return _checked(_derive(test)[2])
 
 
 def lr_positive_direct(test: ScreeningTest) -> float:
@@ -259,7 +286,7 @@ def lr_positive_direct(test: ScreeningTest) -> float:
         InfiniteLRError: specificity 1 with positive sensitivity (carries inf).
         ZeroLRError: sensitivity 0 (carries 0.0).
     """
-    _reject_degenerate(test, "LR+")
+    _checked(_degenerate(test, "LR+"))
     return test.sensitivity / (1.0 - test.specificity)
 
 
@@ -293,7 +320,7 @@ def chords_at(test: ScreeningTest, phi: float) -> ChordPair:
         raise DomainError(
             f"chords are undefined at phi={phi:g}: one chord degenerates to a point"
         )
-    _reject_degenerate(test, "chord pair")
+    _checked(_degenerate(test, "chord pair"))
     a = test.sensitivity
     c = 1.0 - test.specificity
     positives = a * phi
@@ -334,10 +361,4 @@ def endpoint_chord_line(test: ScreeningTest) -> ChordLine:
     absolute error of up to about 2.2e-16.  Degeneracies raise as in
     ``prevalence_threshold``.
     """
-    return _endpoint_chord(prevalence_threshold(test))
-
-
-def _endpoint_chord(point: ThresholdPoint) -> ChordLine:
-    """The line through ``point`` and (1, 1); see ``endpoint_chord_line``."""
-    slope = point.phi_e / point.rho_e
-    return ChordLine(slope=slope, intercept=1.0 - slope)
+    return _checked(_derive(test)[3])
