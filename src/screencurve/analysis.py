@@ -163,9 +163,14 @@ def fts_limit_sweep(steps: int) -> list[tuple[float, float]]:
     Returns [(epsilon_k, auc_k)] in order.  The first point is always
     (1.0, 0.5); the areas increase strictly toward 1.
 
-    Raises ParameterError unless ``steps`` is an integer >= 1.
+    Raises ParameterError unless ``steps`` is an integer in [1, 53]: from
+    k = 54 on, 1 - 2^-k rounds to 1, a perfect test with no area defined.
     """
     _require_int("steps", steps, 1)
+    if steps > 53:
+        raise ParameterError(
+            f"steps must be at most 53, got {steps!r}: 1 - 2^-{steps} rounds to 1"
+        )
     rows: list[tuple[float, float]] = []
     for k in range(1, steps + 1):
         level = 1.0 - 2.0 ** (-k)

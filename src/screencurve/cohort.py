@@ -35,6 +35,21 @@ change a count; but two threads on a shared two-core host took anywhere
 from about half to all of one thread's time per call, depending on the
 interpreter lock and on the other core being free.  numpy is imported on
 the first simulation, not when the package is imported.
+
+Where the buffers sit matters as much as what runs on them.  A load whose
+address has the same low 12 bits as a store still in flight waits for that
+store (4K aliasing), so a pass that reads one buffer while writing another
+that starts a few bytes further on, modulo 4096, stalls on every word.
+Left to the allocator, the word and scratch buffers of one call came out 16
+bytes apart modulo 4096 once glibc served them from its heap, one after
+the other, and the shift passes ran at half speed.  So ``_steps`` records
+where the cached counter steps start modulo 4096, and each call carves its
+word, scratch and two flag buffers from one allocation at fixed offsets
+from there (``_BLOCK_AT``), all at least 12 cache lines apart.  A
+1e7-subject call fell from 250-280 to 150-190 ms on a 2-vCPU Xeon with
+AVX-512, whatever the allocation history before it.  The carving adds
+about 3 us to a 2000-subject call in a loop of such calls (about 60 us
+each) and 5-9 us when each call follows a report and a curve (about 80 us).
 """
 
 from __future__ import annotations
@@ -62,9 +77,12 @@ _MASK = (1 << 64) - 1
 #: Subjects per block, as in the first kernel: a block's 2^21 words are
 #: mixed in place in two 16 MiB buffers.  Blocks of 2^15 subjects, whose
 #: buffers stay in a core's 2 MiB cache, ran about 2.8 times faster on one
-#: core, but the benchmark's host-speed probe (perfbench/speed.py), which
-#: times fresh 8 MiB arrays, does not follow their speed, so their rate in
-#: its runs spread by 4-9% from run to run (see ROADMAP).
+#: core when that was measured, with the buffers still aliased (see the
+#: module docstring); with the fixed layout they run about 1.9 times faster
+#: (83-89 against 154-168 ms per 1e7 subjects).  The benchmark's host-speed
+#: probe (perfbench/speed.py), which times fresh 8 MiB arrays, does not
+#: follow their speed, so their rate in its runs spread by 4-9% from run to
+#: run (see ROADMAP).
 _CHUNK = 1 << 20
 
 
@@ -77,28 +95,74 @@ def _mix64(z: int) -> int:
 
 @functools.cache
 def _numpy():
-    """numpy and the finalizer's uint64 multipliers, imported on first use."""
+    """numpy, the finalizer's uint64 multipliers and an array's address.
+
+    Imported on first use; numpy itself loads ctypes.
+    """
+    import ctypes
+
     import numpy as np
 
-    return np, np.uint64(_MIX_1), np.uint64(_MIX_2)
+    def address(array) -> int:
+        """Address of a writable array's first byte.
+
+        Between other work this costs a few microseconds, about a third of
+        ``array.ctypes.data`` or ``array.__array_interface__``.
+        """
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+    return np, np.uint64(_MIX_1), np.uint64(_MIX_2), address
+
+
+#: Where each call's words, scratch, disease flags and test flags start,
+#: in bytes past the cache line where the cached counter steps start,
+#: modulo 4096: 13 cache lines apart, and 12 from the test flags round to
+#: the steps, so that no pass reads one buffer a few bytes behind where it
+#: writes another, modulo 4096 (see the module docstring).
+_BLOCK_AT = (832, 1664, 2496, 3328)
 
 
 @functools.cache
 def _steps(size: int):
     """Read-only counter offsets 2j * golden (mod 2^64) for j < size.
 
+    Returns the array and the start of its first cache line modulo 4096.
     Sizes are powers of two, so a small cohort builds and keeps only a
     small array.
     """
-    np = _numpy()[0]
+    np, _, _, address = _numpy()
     steps = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK)
+    steps_at = address(steps) % 4096 // 64 * 64
     steps.flags.writeable = False
-    return steps
+    return steps, steps_at
+
+
+def _buffers(size: int, steps_at: int):
+    """(words, scratch, sick, hit) for blocks of up to ``size`` subjects.
+
+    Two uint64 arrays of 2 * size words and two bool arrays of size flags,
+    in order and without overlap in one uint64 allocation, whose address
+    is looked up once; buffer k starts at ``steps_at + _BLOCK_AT[k]``
+    modulo 4096.  Each start skips fewer than 4096 bytes, which the 2048
+    spare words cover.
+    """
+    np, _, _, address = _numpy()
+    first, second, third, fourth = _BLOCK_AT
+    n = 2 * size
+    block = np.empty(2 * n + size // 4 + 2048, dtype=np.uint64)
+    # Word indices of the two word buffers and of the flags; the test flags
+    # sit h bytes after the disease flags.
+    w = (steps_at + first - address(block)) % 4096 // 8
+    s = w + n + (second - first - 8 * n) % 4096 // 8
+    k = s + n + (third - second - 8 * n) % 4096 // 8
+    h = size + (fourth - third - size) % 4096
+    flags = block[k:].view(bool)
+    return block[w : w + n], block[s : s + n], flags[:size], flags[h : h + size]
 
 
 def _mix_in_place(words, scratch) -> None:
     """splitmix64 finalizer, elementwise and in place on a uint64 array."""
-    np, mix_1, mix_2 = _numpy()
+    np, mix_1, mix_2, _ = _numpy()
     for shift, factor in ((30, mix_1), (27, mix_2)):
         np.right_shift(words, shift, out=scratch)
         np.bitwise_xor(words, scratch, out=words)
@@ -127,13 +191,10 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
     phi_cut, a_cut, fpr_cut = cutoffs
     chunk = _CHUNK
     size = min(chunk, hi - lo)
-    steps = _steps(1 << (size - 1).bit_length())
+    steps, steps_at = _steps(1 << (size - 1).bit_length())
     # A block of m subjects holds its disease words in words[:m] and its
     # test words in words[m:2m], so one pass mixes both.
-    words = np.empty(2 * size, dtype=np.uint64)
-    scratch = np.empty(2 * size, dtype=np.uint64)
-    sick_buffer = np.empty(size, dtype=bool)
-    hit_buffer = np.empty(size, dtype=bool)
+    words, scratch, sick_buffer, hit_buffer = _buffers(size, steps_at)
     diseased = true_pos = false_pos = 0
     for start in range(lo, hi, chunk):
         m = min(chunk, hi - start)

@@ -40,7 +40,7 @@ def _require_probability(name: str, value: float) -> float:
         raise ParameterError(f"{name} must be a real number, got {value!r}") from None
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    return value + 0.0  # -0.0 becomes +0.0; every other value is unchanged
 
 
 def _require_int(name: str, value: int, minimum: int) -> int:

@@ -175,6 +175,18 @@ class TestLimitSweep:
         with pytest.raises(ParameterError):
             fts_limit_sweep(bad)
 
+    def test_fifty_three_steps_still_rise_strictly(self):
+        # 1 - 2^-53 is the last level below 1 a double can hold.
+        rows = fts_limit_sweep(53)
+        aucs = [auc for _, auc in rows]
+        assert all(x < y for x, y in zip(aucs, aucs[1:]))
+        assert aucs[-1] < 1.0 and rows[-1][0] < 2.0
+
+    @pytest.mark.parametrize("steps", [54, 60])
+    def test_steps_past_the_last_double_below_one_are_refused(self, steps):
+        with pytest.raises(ParameterError, match="at most 53"):
+            fts_limit_sweep(steps)
+
 
 _ZERO_SENSITIVITY = "degenerate at sensitivity=0"
 _UNIT_SPECIFICITY = "degenerate at specificity=1"

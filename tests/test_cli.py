@@ -148,6 +148,11 @@ class TestCompare:
         assert code == 0
         assert "dominant: neither (curves coincide)" in out.splitlines()
 
+    def test_negative_zero_prints_as_zero(self):
+        code, _, err = run(["compare", "--test1=-0,0.5", "--test2", "0.75,0.95"])
+        assert code == 1
+        assert "(sensitivity=0 specificity=0.5)" in err
+
     def test_degenerate_member(self):
         code, _, err = run(["compare", "--test1", "0,1", "--test2", "0.75,0.95"])
         assert code == 1
@@ -274,6 +279,14 @@ class TestCatalogCommand:
         assert [row["name"] for row in payload] == ["good", "broken"]
         assert payload[1]["lr_plus"] is None
         assert isinstance(payload[1]["lr_plus_reason"], str)
+
+    def test_negative_zero_prints_as_zero(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text("name,sensitivity,specificity\nz,-0,-0.0\n")
+        code, out, _ = run(["catalog", str(catalog), "--json"])
+        assert code == 0
+        assert '"sensitivity": 0,' in out and '"specificity": 0\n' in out
+        assert "-0" not in out
 
     def test_degenerate_rows_print_every_field(self, tmp_path):
         catalog = tmp_path / "tests.csv"
@@ -406,6 +419,15 @@ class TestLimitSweep:
 
     def test_zero_steps_rejected(self):
         assert run(["limit-sweep", "--steps", "0"])[0] == 2
+
+    def test_steps_past_53_are_a_usage_error(self):
+        assert run(["limit-sweep", "--steps", "53"])[0] == 0
+        code, out, err = run(["limit-sweep", "--steps", "54"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "screencurve: error: steps must be at most 53, got 54: "
+            "1 - 2^-54 rounds to 1\n"
+        )
 
 
 class TestDispatchPlumbing:

@@ -121,6 +121,40 @@ class TestGoldenCounts:
         assert counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed)) == expected
 
 
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
+class TestBufferPlacement:
+    """The kernel's buffers sit apart from each other modulo 4096 bytes."""
+
+    @pytest.mark.parametrize("size", [2000, 1 << 15, 1 << 20])
+    def test_buffers_are_disjoint_at_distinct_page_offsets(self, size):
+        from screencurve import cohort as mod
+
+        steps, steps_at = mod._steps(1 << (size - 1).bit_length())
+        buffers = mod._buffers(size, steps_at)
+        assert [(b.dtype, b.size) for b in buffers] == [
+            (np.uint64, 2 * size),
+            (np.uint64, 2 * size),
+            (np.bool_, size),
+            (np.bool_, size),
+        ]
+        spans = sorted((address(b), address(b) + b.nbytes) for b in buffers)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        offsets = sorted(address(a) % 4096 for a in (steps, *buffers))
+        # Distinct, and at least a cache line apart around the 4096 circle.
+        gaps = [b - a for a, b in zip(offsets, offsets[1:])]
+        gaps.append(offsets[0] + 4096 - offsets[-1])
+        assert min(gaps) >= 64
+
+    def test_counts_past_one_full_block_match_the_oracle(self):
+        # 2^20 + 3 subjects: one full block, then a block of three.
+        n, seed = (1 << 20) + 3, (1 << 63) + 5
+        got = counts(simulate_cohort(ScreeningTest(0.6, 0.85), 0.1, n, seed))
+        assert got == cohort_counts(0.6, 0.85, 0.1, n, seed)
+
+
 class TestSimulateCohort:
     def test_determinism_pin(self):
         # Regression pin frozen from the first run; correctness of the

@@ -59,6 +59,12 @@ class TestScreeningTest:
         with pytest.raises(ParameterError, match="must be a real number"):
             ScreeningTest(0.5, flag)
 
+    def test_negative_zero_is_stored_as_positive_zero(self):
+        t = ScreeningTest(-0.0, -0.0)
+        assert math.copysign(1.0, t.sensitivity) == 1.0
+        assert math.copysign(1.0, t.specificity) == 1.0
+        assert t.describe() == "sensitivity=0 specificity=0"
+
     def test_immutable(self):
         t = ScreeningTest(0.5, 0.5)
         with pytest.raises(Exception):
@@ -78,6 +84,9 @@ class TestPpv:
         t = ScreeningTest(0.8, 0.7)
         assert ppv(t, 0.0) == 0.0
         assert ppv(t, 1.0) == 1.0
+
+    def test_negative_zero_prevalence_gives_positive_zero(self):
+        assert math.copysign(1.0, ppv(ScreeningTest(0.8, 0.7), -0.0)) == 1.0
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_rejects_bad_prevalence(self, bad):
