@@ -45,11 +45,28 @@ bytes apart modulo 4096 once glibc served them from its heap, one after
 the other, and the shift passes ran at half speed.  So ``_steps`` records
 where the cached counter steps start modulo 4096, and each call carves its
 word, scratch and two flag buffers from one allocation at fixed offsets
-from there (``_BLOCK_AT``), all at least 12 cache lines apart.  A
-1e7-subject call fell from 250-280 to 150-190 ms on a 2-vCPU Xeon with
-AVX-512, whatever the allocation history before it.  The carving adds
-about 3 us to a 2000-subject call in a loop of such calls (about 60 us
-each) and 5-9 us when each call follows a report and a curve (about 80 us).
+from there (``_BLOCK_AT``), all at least 12 cache lines apart.  With
+2^20-subject blocks a 1e7-subject call fell from 250-280 to 150-190 ms on
+a 2-vCPU Xeon with AVX-512, whatever the allocation history before it.
+The carving adds about 3 us to a 2000-subject call in a loop of such calls
+(about 60 us each) and 5-9 us when each call follows a report and a curve
+(about 80 us).
+
+Blocks hold 2^15 subjects (``_CHUNK``), so one call's buffers, about
+1.1 MiB whatever n is, stay in a core's 2 MiB L2 cache from one pass to
+the next, and a large call no longer maps fresh memory and pays its page
+faults.  Median ms per 1e7-subject call on the Xeon above, 21 calls per
+size with the sizes interleaved, in two runs, with the same counts at
+every block size:
+
+    subjects per block   2^20     2^17     2^16     2^15   2^14   2^13
+    ms per call          199-221  148-150  106-113  81-82  87-88  101-114
+
+Below 2^15 the per-block numpy calls cost more than the cache saves.  The
+placement still pays at this size: with the buffers left to the allocator
+(words and scratch 16 bytes apart modulo 4096), the same call took a
+median of 90-93 ms against 85-88 ms placed, in alternating sets of five
+calls.
 """
 
 from __future__ import annotations
@@ -74,16 +91,12 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-#: Subjects per block, as in the first kernel: a block's 2^21 words are
-#: mixed in place in two 16 MiB buffers.  Blocks of 2^15 subjects, whose
-#: buffers stay in a core's 2 MiB cache, ran about 2.8 times faster on one
-#: core when that was measured, with the buffers still aliased (see the
-#: module docstring); with the fixed layout they run about 1.9 times faster
-#: (83-89 against 154-168 ms per 1e7 subjects).  The benchmark's host-speed
-#: probe (perfbench/speed.py), which times fresh 8 MiB arrays, does not
-#: follow their speed, so their rate in its runs spread by 4-9% from run to
-#: run (see ROADMAP).
-_CHUNK = 1 << 20
+#: Subjects per block: a block's 2^16 words are mixed in place in two
+#: 512 KiB buffers, which with the flags and the 256 KiB of counter steps
+#: stay in a core's 2 MiB L2 cache.  A 1e7-subject call runs about 2.5
+#: times as fast as with 2^20-subject blocks and allocates 1.1 against
+#: 34 MiB (see the module docstring for the sweep).
+_CHUNK = 1 << 15
 
 
 def _mix64(z: int) -> int:

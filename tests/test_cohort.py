@@ -1,7 +1,10 @@
 """Counter-based synthetic cohorts: determinism, tallies, and statistics."""
 
+import concurrent.futures
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,22 +92,28 @@ class TestGoldenCounts:
 
     @pytest.mark.parametrize("n", [65535, 65536, 65537])
     def test_either_side_of_a_chunk_boundary(self, monkeypatch, n):
-        # Blocks of 2^16 subjects end at 65536.  The last subject's disease
+        # One subject short of, exactly at and one past the end of the first
+        # block: first at the module's own block size, then with blocks of
+        # 2^16 subjects, which end at 65536.  The last subject's disease
         # draw sits on the 0.5 edge: just inside it for one seed, just
         # outside for the other.
         from screencurve import cohort as mod
 
+        def check(n):
+            inside = seed_for_output(2**63 - 1, 2 * n - 1) - (1 << 64)
+            outside = seed_for_output(2**63, 2 * n - 1) + (1 << 64)
+            cases = [
+                (0.95, 0.75, 0.34, -(1 << 63) + 17),
+                (1.0 - 2.0**-53, 2.0**-53, 0.5, inside),
+                (0.5, 0.5, 0.5, outside),
+            ]
+            for a, b, phi, seed in cases:
+                got = counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed))
+                assert got == cohort_counts(a, b, phi, n, seed), (n, a, b, phi, seed)
+
+        check(mod._CHUNK + n - 65536)
         monkeypatch.setattr(mod, "_CHUNK", 1 << 16)
-        inside = seed_for_output(2**63 - 1, 2 * n - 1) - (1 << 64)
-        outside = seed_for_output(2**63, 2 * n - 1) + (1 << 64)
-        cases = [
-            (0.95, 0.75, 0.34, -(1 << 63) + 17),
-            (1.0 - 2.0**-53, 2.0**-53, 0.5, inside),
-            (0.5, 0.5, 0.5, outside),
-        ]
-        for a, b, phi, seed in cases:
-            got = counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed))
-            assert got == cohort_counts(a, b, phi, n, seed), (a, b, phi, seed)
+        check(n)
 
     @pytest.mark.parametrize(
         "a, b, phi, n, seed, expected",
@@ -149,7 +158,7 @@ class TestBufferPlacement:
         assert min(gaps) >= 64
 
     def test_counts_past_one_full_block_match_the_oracle(self):
-        # 2^20 + 3 subjects: one full block, then a block of three.
+        # 2^20 + 3 subjects: 32 full blocks of 2^15, then a block of three.
         n, seed = (1 << 20) + 3, (1 << 63) + 5
         got = counts(simulate_cohort(ScreeningTest(0.6, 0.85), 0.1, n, seed))
         assert got == cohort_counts(0.6, 0.85, 0.1, n, seed)
@@ -231,6 +240,40 @@ class TestSimulateCohort:
             big.false_pos,
             big.false_neg,
         )
+
+    def test_memory_per_call_is_bounded(self):
+        # A call allocates its blocks' buffers once, whatever n is; numpy
+        # reports its data buffers to tracemalloc.  The warm-up call builds
+        # the cached counter steps.
+        simulate_cohort(ANCHOR, 0.34, 3_000_000, 1)
+        tracemalloc.start()
+        try:
+            simulate_cohort(ANCHOR, 0.34, 3_000_000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_concurrent_calls_give_the_same_counts(self):
+        # numpy lets go of the interpreter lock inside each pass, so the
+        # passes of two threads' calls interleave; each call must still work
+        # in buffers of its own.
+        from screencurve import cohort as mod
+
+        n = 3 * mod._CHUNK + 5
+        calls = [
+            [(ANCHOR, 0.34, n, seed) for seed in range(4)],
+            [(ScreeningTest(0.6, 0.85), 0.1, n + 11, seed) for seed in range(4, 8)],
+        ]
+        expected = [[counts(simulate_cohort(*call)) for call in batch] for batch in calls]
+        start = threading.Barrier(2)
+
+        def run(batch):
+            start.wait()
+            return [counts(simulate_cohort(*call)) for call in batch]
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(run, calls)) == expected
 
     def test_absent_estimates_with_reasons(self):
         # A test that never fires yields no positives, hence no PPV estimate.
