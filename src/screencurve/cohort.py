@@ -45,19 +45,17 @@ bytes apart modulo 4096 once glibc served them from its heap, one after
 the other, and the shift passes ran at half speed.  So ``_steps`` records
 where the cached counter steps start modulo 4096, and each call carves its
 word, scratch and two flag buffers from one allocation at fixed offsets
-from there (``_BLOCK_AT``), all at least 12 cache lines apart.  With
-2^20-subject blocks a 1e7-subject call fell from 250-280 to 150-190 ms on
-a 2-vCPU Xeon with AVX-512, whatever the allocation history before it.
-The carving adds about 3 us to a 2000-subject call in a loop of such calls
-(about 60 us each) and 5-9 us when each call follows a report and a curve
-(about 80 us).
+from there (``_BLOCK_AT``), all at least 12 cache lines apart, whatever
+the allocation history before the call.  The carving adds about 3 us to a
+2000-subject call in a loop of such calls (about 60 us each) and 5-9 us
+when each call follows a report and a curve (about 80 us).
 
 Blocks hold 2^15 subjects (``_CHUNK``), so one call's buffers, about
 1.1 MiB whatever n is, stay in a core's 2 MiB L2 cache from one pass to
 the next, and a large call no longer maps fresh memory and pays its page
-faults.  Median ms per 1e7-subject call on the Xeon above, 21 calls per
-size with the sizes interleaved, in two runs, with the same counts at
-every block size:
+faults.  Median ms per 1e7-subject call on a 2-vCPU Xeon with AVX-512, 21
+calls per size with the sizes interleaved, in two runs, with the same
+counts at every block size:
 
     subjects per block   2^20     2^17     2^16     2^15   2^14   2^13
     ms per call          199-221  148-150  106-113  81-82  87-88  101-114
