@@ -42,6 +42,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path!r}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _probability(text: str) -> float:

@@ -1,70 +1,41 @@
 """Monte Carlo cohort simulation with a counter-based deterministic PRNG.
 
-Random number generation.  Reproducibility across platforms, processes, and
-call orders matters more here than raw statistical sophistication, so the
-generator is pinned to a fixed, published algorithm rather than delegated
-to a library default that might change between releases: splitmix64
-(the 64-bit finalizer of Steele, Lea & Flood's SplittableRandom), used in
-pure counter mode.  Output k of the stream for a 64-bit ``seed`` is
+Random number generation.  Reproducibility across platforms, processes and
+call orders matters more here than statistical sophistication, so the
+generator is splitmix64 (the 64-bit finalizer of Steele, Lea & Flood's
+SplittableRandom) in pure counter mode, not a library default that might
+change between releases.  Output k of the stream for a 64-bit ``seed`` is
 
     value(k) = mix64(seed + k * 0x9E3779B97F4A7C15)      (mod 2^64)
 
 where mix64 is the xor-shift/multiply finalizer, and uniforms in [0, 1)
-take the top 53 bits.  Subject i of a cohort consumes exactly outputs
-2i+1 (disease draw) and 2i+2 (test draw), so every subject's fate is a pure
-function of (seed, i): results are identical no matter how the work is
-chunked, ordered, or parallelized, and are bit-identical across platforms
-because everything is integer arithmetic mod 2^64.
+take the top 53 bits.  Subject i consumes exactly outputs 2i+1 (disease
+draw) and 2i+2 (test draw), so its fate is a pure function of (seed, i):
+results do not depend on how the work is chunked or ordered, and are
+bit-identical across platforms because all of it is integer arithmetic.
 
 Subject model: disease with probability phi; if diseased, a positive test
 with probability sensitivity, else a positive test with probability
 1 - specificity.  Zero-positive cohorts yield absent estimates with a
 reason, never a fabricated value.
 
-Kernel.  A draw never becomes a float: for a word w and a probability p,
-the uniform (w >> 11) * 2^-53 is below p exactly when w < ceil(p * 2^53) *
-2^11.  Proof: k = w >> 11 is an integer and p * 2^53 is exact (scaling by a
-power of two), so k * 2^-53 < p <=> k < p * 2^53 <=> k < ceil(p * 2^53) <=>
-w < ceil(p * 2^53) * 2^11.  At p = 1 that cutoff is 2^64 and every draw
-passes.  Words are mixed in place in uint64 buffers allocated once per
-call, and only three numbers are counted: diseased subjects, true positives
-and false positives.  The blocks run one after another on the calling
-thread.  By the stream layout above, counts summed over any cut of [0, n)
-into contiguous ranges are the same, so a split between workers would not
-change a count; but two threads on a shared two-core host took anywhere
-from about half to all of one thread's time per call, depending on the
-interpreter lock and on the other core being free.  numpy is imported on
-the first simulation, not when the package is imported.
+Kernel.  A draw never becomes a float: the uniform (w >> 11) * 2^-53 of a
+word w is below p exactly when w < ceil(p * 2^53) * 2^11, since w >> 11 is
+an integer and p * 2^53 is exact; at p = 1 every draw passes.  Words are
+mixed in place, and only diseased subjects and true and false positives are
+counted, in blocks of 2^15 subjects (``_CHUNK``) run one after another on
+the calling thread: two threads on a shared two-core host took from half to
+all of one thread's time.  numpy is imported on the first simulation.
 
-Where the buffers sit matters as much as what runs on them.  A load whose
-address has the same low 12 bits as a store still in flight waits for that
-store (4K aliasing), so a pass that reads one buffer while writing another
-that starts a few bytes further on, modulo 4096, stalls on every word.
-Left to the allocator, the word and scratch buffers of one call came out 16
-bytes apart modulo 4096 once glibc served them from its heap, one after
-the other, and the shift passes ran at half speed.  So ``_steps`` records
-where the cached counter steps start modulo 4096, and each call carves its
-word, scratch and two flag buffers from one allocation at fixed offsets
-from there (``_BLOCK_AT``), all at least 12 cache lines apart, whatever
-the allocation history before the call.  The carving adds about 3 us to a
-2000-subject call in a loop of such calls (about 60 us each) and 5-9 us
-when each call follows a report and a curve (about 80 us).
-
-Blocks hold 2^15 subjects (``_CHUNK``), so one call's buffers, about
-1.1 MiB whatever n is, stay in a core's 2 MiB L2 cache from one pass to
-the next, and a large call no longer maps fresh memory and pays its page
-faults.  Median ms per 1e7-subject call on a 2-vCPU Xeon with AVX-512, 21
-calls per size with the sizes interleaved, in two runs, with the same
-counts at every block size:
-
-    subjects per block   2^20     2^17     2^16     2^15   2^14   2^13
-    ms per call          199-221  148-150  106-113  81-82  87-88  101-114
-
-Below 2^15 the per-block numpy calls cost more than the cache saves.  The
-placement still pays at this size: with the buffers left to the allocator
-(words and scratch 16 bytes apart modulo 4096), the same call took a
-median of 90-93 ms against 85-88 ms placed, in alternating sets of five
-calls.
+Buffers.  A call's buffers, about 1.4 MiB whatever n is, stay in a core's
+2 MiB L2 cache from one block to the next; larger blocks spill out of it,
+and smaller ones cost more in per-block numpy calls than the cache saves.
+A load waits for a store still in flight whose address has the same low
+12 bits (4K aliasing), so passes over buffers a few bytes apart modulo
+4096, as the allocator placed a call's words and scratch, ran at half
+speed.  ``_buffers`` puts every buffer in one allocation, on a cache line
+(glibc starts such blocks 16 bytes into one, which cost about 12%) and at
+least 12 cache lines from every other modulo 4096.
 """
 
 from __future__ import annotations
@@ -89,11 +60,7 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-#: Subjects per block: a block's 2^16 words are mixed in place in two
-#: 512 KiB buffers, which with the flags and the 256 KiB of counter steps
-#: stay in a core's 2 MiB L2 cache.  A 1e7-subject call runs about 2.5
-#: times as fast as with 2^20-subject blocks and allocates 1.1 against
-#: 34 MiB (see the module docstring for the sweep).
+#: Subjects per block, so that a call's buffers stay in L2 (module docstring).
 _CHUNK = 1 << 15
 
 
@@ -106,74 +73,50 @@ def _mix64(z: int) -> int:
 
 @functools.cache
 def _numpy():
-    """numpy, the finalizer's uint64 multipliers and an array's address.
-
-    Imported on first use; numpy itself loads ctypes.
-    """
-    import ctypes
-
+    """numpy and the finalizer's uint64 multipliers, imported on first use."""
     import numpy as np
 
-    def address(array) -> int:
-        """Address of a writable array's first byte.
-
-        Between other work this costs a few microseconds, about a third of
-        ``array.ctypes.data`` or ``array.__array_interface__``.
-        """
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-
-    return np, np.uint64(_MIX_1), np.uint64(_MIX_2), address
-
-
-#: Where each call's words, scratch, disease flags and test flags start,
-#: in bytes past the cache line where the cached counter steps start,
-#: modulo 4096: 13 cache lines apart, and 12 from the test flags round to
-#: the steps, so that no pass reads one buffer a few bytes behind where it
-#: writes another, modulo 4096 (see the module docstring).
-_BLOCK_AT = (832, 1664, 2496, 3328)
+    return np, np.uint64(_MIX_1), np.uint64(_MIX_2)
 
 
 @functools.cache
 def _steps(size: int):
     """Read-only counter offsets 2j * golden (mod 2^64) for j < size.
 
-    Returns the array and the start of its first cache line modulo 4096.
-    Sizes are powers of two, so a small cohort builds and keeps only a
-    small array.
+    Sizes are powers of two, so a small cohort keeps only a small array.
     """
-    np, _, _, address = _numpy()
+    np = _numpy()[0]
     steps = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK)
-    steps_at = address(steps) % 4096 // 64 * 64
     steps.flags.writeable = False
-    return steps, steps_at
+    return steps
 
 
-def _buffers(size: int, steps_at: int):
-    """(words, scratch, sick, hit) for blocks of up to ``size`` subjects.
+def _buffers(size: int):
+    """(steps, words, scratch, sick, hit) for blocks of up to ``size`` subjects.
 
-    Two uint64 arrays of 2 * size words and two bool arrays of size flags,
-    in order and without overlap in one uint64 allocation, whose address
-    is looked up once; buffer k starts at ``steps_at + _BLOCK_AT[k]``
-    modulo 4096.  Each start skips fewer than 4096 bytes, which the 2048
-    spare words cover.
+    uint64 arrays of size, 2 * size and 2 * size words, then two bool arrays
+    of size flags, in one allocation; the steps are copied from the cache.
     """
-    np, _, _, address = _numpy()
-    first, second, third, fourth = _BLOCK_AT
-    n = 2 * size
-    block = np.empty(2 * n + size // 4 + 2048, dtype=np.uint64)
-    # Word indices of the two word buffers and of the flags; the test flags
-    # sit h bytes after the disease flags.
-    w = (steps_at + first - address(block)) % 4096 // 8
-    s = w + n + (second - first - 8 * n) % 4096 // 8
-    k = s + n + (third - second - 8 * n) % 4096 // 8
-    h = size + (fourth - third - size) % 4096
-    flags = block[k:].view(bool)
-    return block[w : w + n], block[s : s + n], flags[:size], flags[h : h + size]
+    import ctypes
+
+    np = _numpy()[0]
+    # The spare words cover the skips: under 64 bytes to the block's first
+    # cache line, ``line`` words in, and under 4096 before each later buffer.
+    block = np.empty(42 * size // 8 + 2057, dtype=np.uint64)
+    line = -ctypes.addressof(ctypes.c_char.from_buffer(block)) % 64 // 8
+    # Buffer k starts 832 * k bytes (13 cache lines) past that line, modulo
+    # 4096, so a buffer of x bytes takes x + (832 - x) % 4096 of the block.
+    a, b, c = (x + (832 - x) % 4096 for x in (8 * size, 16 * size, size))
+    w, s, n = line + a // 8, line + (a + b) // 8, 2 * size
+    flags = block[line + (a + 2 * b) // 8 :].view(bool)
+    steps = block[line : line + size]
+    np.copyto(steps, _steps(1 << (size - 1).bit_length())[:size])
+    return steps, block[w : w + n], block[s : s + n], flags[:size], flags[c : c + size]
 
 
 def _mix_in_place(words, scratch) -> None:
     """splitmix64 finalizer, elementwise and in place on a uint64 array."""
-    np, mix_1, mix_2, _ = _numpy()
+    np, mix_1, mix_2 = _numpy()
     for shift, factor in ((30, mix_1), (27, mix_2)):
         np.right_shift(words, shift, out=scratch)
         np.bitwise_xor(words, scratch, out=words)
@@ -201,11 +144,9 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
     np = _numpy()[0]
     phi_cut, a_cut, fpr_cut = cutoffs
     chunk = _CHUNK
-    size = min(chunk, hi - lo)
-    steps, steps_at = _steps(1 << (size - 1).bit_length())
     # A block of m subjects holds its disease words in words[:m] and its
     # test words in words[m:2m], so one pass mixes both.
-    words, scratch, sick_buffer, hit_buffer = _buffers(size, steps_at)
+    steps, words, scratch, sick_buffer, hit_buffer = _buffers(min(chunk, hi - lo))
     diseased = true_pos = false_pos = 0
     for start in range(lo, hi, chunk):
         m = min(chunk, hi - start)

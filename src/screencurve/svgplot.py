@@ -23,6 +23,7 @@ the curve is still drawn as one polyline through its defined samples.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .analysis import build_test_report
@@ -49,6 +50,11 @@ _MARGIN_TOP = 20.0
 _MARGIN_BOTTOM = 48.0
 _ARC_RADIUS = 44.0
 
+#: The characters outside XML 1.0's Char production, which no SVG document
+#: can hold, not even as character references.  A pattern, not a compiled
+#: regex, so that importing the module compiles nothing.
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
 
 @dataclass(frozen=True)
 class PlotSpec:
@@ -65,6 +71,9 @@ class PlotSpec:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ParameterError("a plot needs at least one catalog entry")
+        for entry in self.entries:
+            if re.search(_NOT_XML_CHAR, entry.name):
+                raise ParameterError(f"name {entry.name!r} holds a character XML 1.0 cannot hold")
         _require_int("samples", self.samples, 2)
         _require_int("width_px", self.width_px, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40)
         _require_int("height_px", self.height_px, int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40)

@@ -198,6 +198,16 @@ class TestPlot:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("name", ["a\x01b", "x\ufffey"])
+    def test_name_xml_cannot_hold_is_a_usage_error(self, tmp_path, name):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text(f"name,sensitivity,specificity\n{name},0.95,0.75\n", encoding="utf-8")
+        code, out, err = run(["plot", "--catalog", str(catalog), "--out", "-"])
+        assert (code, out) == (2, "")
+        assert err.startswith("screencurve: error: name ") and err.count("\n") == 1
+        # The text and JSON reports can carry the name.
+        assert run(["catalog", str(catalog), "--json"])[0] == 0
+
 
 class TestSimulate:
     def test_human_output(self):
@@ -279,6 +289,19 @@ class TestCatalogCommand:
         assert [row["name"] for row in payload] == ["good", "broken"]
         assert payload[1]["lr_plus"] is None
         assert isinstance(payload[1]["lr_plus_reason"], str)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["catalog", "{}"], ["plot", "--catalog", "{}", "--out", "-"]],
+        ids=["catalog", "plot"],
+    )
+    def test_non_utf8_catalog_is_a_usage_error(self, tmp_path, argv):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_bytes(b"name,sensitivity,specificity\nbad\xff,0.95,0.75\n")
+        code, out, err = run([arg.format(catalog) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("screencurve: error: cannot read ") and err.count("\n") == 1
+        assert "not UTF-8" in err
 
     def test_negative_zero_prints_as_zero(self, tmp_path):
         catalog = tmp_path / "tests.csv"

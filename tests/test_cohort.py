@@ -137,13 +137,13 @@ def address(array):
 class TestBufferPlacement:
     """The kernel's buffers sit apart from each other modulo 4096 bytes."""
 
-    @pytest.mark.parametrize("size", [2000, 1 << 15, 1 << 20])
+    @pytest.mark.parametrize("size", [1, 7, 2000, 1 << 15, 1 << 20])
     def test_buffers_are_disjoint_at_distinct_page_offsets(self, size):
         from screencurve import cohort as mod
 
-        steps, steps_at = mod._steps(1 << (size - 1).bit_length())
-        buffers = mod._buffers(size, steps_at)
+        buffers = mod._buffers(size)
         assert [(b.dtype, b.size) for b in buffers] == [
+            (np.uint64, size),
             (np.uint64, 2 * size),
             (np.uint64, 2 * size),
             (np.bool_, size),
@@ -151,11 +151,17 @@ class TestBufferPlacement:
         ]
         spans = sorted((address(b), address(b) + b.nbytes) for b in buffers)
         assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
-        offsets = sorted(address(a) % 4096 for a in (steps, *buffers))
+        assert all(address(b) % 64 == 0 for b in buffers)
+        offsets = sorted(address(b) % 4096 for b in buffers)
         # Distinct, and at least a cache line apart around the 4096 circle.
         gaps = [b - a for a, b in zip(offsets, offsets[1:])]
         gaps.append(offsets[0] + 4096 - offsets[-1])
         assert min(gaps) >= 64
+        # The steps are a copy of the cached counter offsets, which no call
+        # can write.
+        cached = mod._steps(1 << (size - 1).bit_length())
+        assert np.array_equal(buffers[0], cached[:size])
+        assert not cached.flags.writeable
 
     def test_counts_past_one_full_block_match_the_oracle(self):
         # 2^20 + 3 subjects: 32 full blocks of 2^15, then a block of three.

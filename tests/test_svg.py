@@ -121,6 +121,17 @@ class TestCurves:
         assert "a<b>" not in text
         ET.fromstring(text)
 
+    @pytest.mark.parametrize("name", ["a\x01b", "x\ufffey", "\ud800"])
+    def test_names_xml_cannot_hold_are_refused(self, name):
+        # No character reference encodes these either, so no document can
+        # carry the name.
+        with pytest.raises(ParameterError, match="XML 1.0"):
+            PlotSpec(entries=(CatalogEntry(name, ScreeningTest(0.5, 0.5)),))
+
+    def test_tab_and_astral_names_render_well_formed(self):
+        entry = CatalogEntry("a\tb \U0001F600 \u00e9", ScreeningTest(0.5, 0.5))
+        ET.fromstring(render(entries=(entry,)))
+
 
 class TestOverlays:
     def test_absent_by_default(self):
