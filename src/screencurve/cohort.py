@@ -34,7 +34,7 @@ A load waits for a store still in flight whose address has the same low
 12 bits (4K aliasing), so passes over buffers a few bytes apart modulo
 4096, as the allocator placed a call's words and scratch, ran at half
 speed.  ``_buffers`` puts every buffer in one allocation, on a cache line
-(glibc starts such blocks 16 bytes into one, which cost about 12%) and at
+(glibc starts such blocks 16 bytes into one, which cost 12-15%) and at
 least 12 cache lines from every other modulo 4096.
 """
 
