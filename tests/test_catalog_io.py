@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from screencurve import (
     CatalogEntry,
+    CohortResult,
     ParameterError,
     ParseError,
     ScreeningTest,
+    TestReport as Report,
     build_test_report,
     compare_tests,
     curve_samples,
@@ -201,6 +203,25 @@ class TestEmitReport:
         assert payload["true_pos"] == 3233
         assert payload["seed"] == 42
         assert payload["empirical_ppv"] == pytest.approx(3233 / (3233 + 1610))
+
+    def test_cohort_estimates_without_reasons(self):
+        result = CohortResult(n=0, seed=1, true_pos=0, false_pos=0, true_neg=0,
+                              false_neg=0, empirical_ppv=None, empirical_lr_plus=None)
+        payload = json.loads(emit_report(result))
+        assert payload["empirical_ppv"] is None
+        assert payload["empirical_ppv_reason"] == "estimate absent"
+        assert payload["empirical_lr_plus"] is None
+        assert payload["empirical_lr_plus_reason"] == "estimate absent"
+
+    def test_test_report_field_without_reason(self):
+        full = build_test_report(ScreeningTest(0.95, 0.75))
+        report = Report(test=full.test, epsilon=full.epsilon, lr_plus=full.lr_plus,
+                        threshold=None, beta=full.beta,
+                        endpoint_chord=full.endpoint_chord, auc=full.auc)
+        payload = json.loads(emit_report(report))
+        assert payload["threshold"] is None
+        assert payload["threshold_reason"] == "value is undefined here"
+        assert "lr_plus_reason" not in payload
 
     def test_unknown_payload_type(self):
         with pytest.raises(TypeError):

@@ -404,6 +404,28 @@ class TestReportBytes:
             "f24a261bae9a0af903e593a543a7efa6ddd72516aa17e55f45f1f1202fe662ae"
         )
 
+    def test_analyze_simulate_and_limit_sweep_bytes_are_pinned(self):
+        # Healthy and degenerate tests at prevalences and sizes that leave
+        # cohorts with no positive result or no diseased subject, so every
+        # reason line and null appears as well as every value line.
+        pairs = ["0.95,0.75", "0.3,0.7", "0,0.5", "0.9,1", "0,1", "1e-40,0.5", "0.5,0.5", "1,0"]
+        runs = [["limit-sweep", "--steps", "53"], ["limit-sweep", "--steps", "53", "--json"]]
+        for pair in pairs:
+            sens, spec = pair.split(",")
+            runs.append(["analyze", "--sens", sens, "--spec", spec])
+            runs.append(["analyze", "--sens", sens, "--spec", spec, "--json"])
+            for prev, n in itertools.product(["0", "0.34", "1"], ["1", "100", "70000"]):
+                argv = ["simulate", "--sens", sens, "--spec", spec, "--prev", prev, "--n", n]
+                runs.append(argv)
+                runs.append([*argv, "--json"])
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, err = run(argv)
+            digest.update(f"{code}\0{out}\0{err}\0".encode("utf-8"))
+        assert digest.hexdigest() == (
+            "99db715967ddf61ea439fec4dbe505d3ac85f1b5cf60c4a8df84d12ed6c42acc"
+        )
+
 
 class TestTinySensitivity:
     def test_analyze_is_a_domain_error(self):
