@@ -263,7 +263,8 @@ def compare_tests(
     prefers the smaller angle, ``auc_order`` the larger area; both carry the
     signed gap second-minus-first.
     """
-    if not (isinstance(eps_tol, (int, float)) and math.isfinite(eps_tol) and eps_tol >= 0.0):
+    number = isinstance(eps_tol, (int, float)) and not isinstance(eps_tol, bool)
+    if not (number and math.isfinite(eps_tol) and eps_tol >= 0.0):
         raise ParameterError(f"eps_tol must be a finite number >= 0, got {eps_tol!r}")
 
     def report_or_blame(test: ScreeningTest, role: str) -> TestReport:

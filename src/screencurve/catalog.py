@@ -1,7 +1,8 @@
 """Named-test catalogs: a small comma-separated table format.
 
 Layout: one exact header line ``name,sensitivity,specificity``, then one
-row per test.  Blank lines and lines starting with ``#`` are ignored.
+row per test.  Lines end at ``\n``, ``\r\n`` or ``\r``.  Blank lines and
+lines starting with ``#`` are ignored.
 Names are case-sensitive and must be unique; values are decimals in [0, 1].
 Documents are UTF-8 text.
 """
@@ -46,8 +47,10 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     seen: dict[str, int] = {}
     header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    # Lines end only where open() would end them: str.splitlines() also breaks
+    # at U+0085, U+2028 and other characters a comment or a name may hold.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if not header_seen:

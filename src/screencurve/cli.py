@@ -20,11 +20,11 @@ import sys
 from typing import TextIO
 
 from . import __version__
-from .analysis import TestReport, build_test_report, compare_tests, fts_limit_sweep
+from .analysis import build_test_report, compare_tests, fts_limit_sweep
 from .catalog import parse_catalog
 from .cohort import simulate_cohort
 from .core import ScreeningTest, curve_samples
-from .emit import emit_curve_csv, emit_report, format_real, render_json, test_report_payload
+from .emit import emit_curve_csv, emit_report, format_real, render_json, report_text, test_report_payload
 from .errors import ParameterError, ParseError, ScreeningError
 from .svgplot import PlotSpec, render_screening_plane
 
@@ -138,35 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report_lines(report: TestReport, out: TextIO) -> None:
-    out.write(f"sensitivity: {format_real(report.test.sensitivity)}\n")
-    out.write(f"specificity: {format_real(report.test.specificity)}\n")
-    out.write(f"gain index (sens + spec): {report.epsilon:.6g}\n")
-    if report.lr_plus is not None:
-        out.write(f"LR+: {report.lr_plus:.6g}\n")
-    else:
-        out.write(f"LR+: undefined ({report.absent_reasons['lr_plus']})\n")
-    if report.threshold is not None:
-        out.write(f"prevalence threshold phi_e: {report.threshold.phi_e:.6g}\n")
-        out.write(f"predictive value at threshold: {report.threshold.rho_e:.6g}\n")
-    else:
-        out.write(f"prevalence threshold phi_e: undefined ({report.absent_reasons['threshold']})\n")
-    if report.beta is not None:
-        out.write(f"beta (rad): {report.beta.beta_rad:.6g}\n")
-        out.write(f"origin-chord slope: {report.beta.origin_slope:.6g}\n")
-    else:
-        out.write(f"beta (rad): undefined ({report.absent_reasons['beta']})\n")
-    if report.endpoint_chord is not None:
-        out.write(f"endpoint-chord slope: {report.endpoint_chord.slope:.6g}\n")
-        out.write(f"endpoint-chord intercept: {report.endpoint_chord.intercept:.6g}\n")
-    else:
-        out.write(f"endpoint-chord slope: undefined ({report.absent_reasons['endpoint_chord']})\n")
-    if report.auc is not None:
-        out.write(f"area under curve: {report.auc:.6g}\n")
-    else:
-        out.write(f"area under curve: undefined ({report.absent_reasons['auc']})\n")
-
-
 def _write_text(path: str | None, text: str, out: TextIO) -> None:
     if path is None or path == "-":
         out.write(text)
@@ -180,10 +151,7 @@ def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
     # Strict: a single-test report on a degenerate test is an error (exit 1),
     # unlike the batch `catalog` command which tolerates absent quantities.
     report = build_test_report(test, strict=True)
-    if args.json:
-        out.write(emit_report(report))
-    else:
-        _print_report_lines(report, out)
+    out.write(emit_report(report) if args.json else report_text(report))
     return 0
 
 
@@ -260,12 +228,8 @@ def _run_catalog(args: argparse.Namespace, out: TextIO) -> int:
     if args.json:
         payload = [{"name": name, **test_report_payload(report)} for name, report in reports]
         out.write(render_json(payload) + "\n")
-        return 0
-    for index, (name, report) in enumerate(reports):
-        if index:
-            out.write("\n")
-        out.write(f"[{name}]\n")
-        _print_report_lines(report, out)
+    else:
+        out.write("\n".join(f"[{name}]\n{report_text(report)}" for name, report in reports))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV emitters.
+"""Deterministic JSON, CSV and plain-text emitters.
 
 Output is meant to be diffable and byte-stable: field order is fixed by
 construction, every real number is rendered with 12 significant digits
@@ -6,6 +6,11 @@ construction, every real number is rendered with 12 significant digits
 ``*_reason`` string, and no locale-dependent formatting is used anywhere.
 The JSON writer is local because the stock serializer renders floats with
 shortest-roundtrip precision, which is not the 12-digit contract.
+
+This is the only module that knows the report documents' layout.  A JSON
+record is the object of its type's declared fields, in declaration order,
+so a report's keys are the names of its fields.  The plain-text report of
+one test (``report_text``) follows one table of labels per derived field.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .analysis import ComparisonReport, TestReport
 from .cohort import CohortResult
 from .core import CurvePoint
 
-__all__ = ["format_real", "render_json", "emit_report", "emit_curve_csv"]
+__all__ = ["format_real", "render_json", "emit_report", "report_text", "emit_curve_csv"]
 
 
 def format_real(value: float) -> str:
@@ -74,88 +79,81 @@ def render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+#: Each derived field of a test report, in document order, with its text lines
+#: as (label, attribute of the field's value, or None for the value itself).
+#: An undefined field prints one line: its first label and the reason.
+_REPORT_TEXT = (
+    ("lr_plus", (("LR+", None),)),
+    ("threshold", (("prevalence threshold phi_e", "phi_e"),
+                   ("predictive value at threshold", "rho_e"))),
+    ("beta", (("beta (rad)", "beta_rad"), ("origin-chord slope", "origin_slope"))),
+    ("endpoint_chord", (("endpoint-chord slope", "slope"),
+                        ("endpoint-chord intercept", "intercept"))),
+    ("auc", (("area under curve", None),)),
+)
+
+_UNDEFINED = "value is undefined here"
+
+
+def _record(value):
+    """A record's declared fields, in order, as a JSON object; other values as they are.
+
+    A dataclass's ``__dataclass_fields__`` is what ``dataclasses.fields``
+    reads; the records here declare no ClassVar or InitVar it would also hold.
+    """
+    names = getattr(value, "_fields", None) or getattr(value, "__dataclass_fields__", None)
+    return {name: getattr(value, name) for name in names} if names else value
+
+
 def _with_reason(payload: dict, key: str, value, reasons) -> None:
     """Insert value or an explicit null plus its sibling reason."""
     payload[key] = value
     if value is None:
-        payload[f"{key}_reason"] = reasons.get(key, "value is undefined here")
+        payload[f"{key}_reason"] = reasons.get(key, _UNDEFINED)
 
 
 def test_report_payload(report: TestReport) -> dict:
     """Fixed-order JSON payload for a single-test report."""
-    payload: dict = {
-        "test": {
-            "sensitivity": report.test.sensitivity,
-            "specificity": report.test.specificity,
-        },
-        "epsilon": report.epsilon,
-    }
-    reasons = report.absent_reasons
-    _with_reason(payload, "lr_plus", report.lr_plus, reasons)
-    threshold = report.threshold
-    _with_reason(
-        payload,
-        "threshold",
-        None if threshold is None else {"phi_e": threshold.phi_e, "rho_e": threshold.rho_e},
-        reasons,
-    )
-    beta = report.beta
-    _with_reason(
-        payload,
-        "beta",
-        None
-        if beta is None
-        else {
-            "beta_rad": beta.beta_rad,
-            "psi": beta.psi,
-            "origin_slope": beta.origin_slope,
-        },
-        reasons,
-    )
-    chord = report.endpoint_chord
-    _with_reason(
-        payload,
-        "endpoint_chord",
-        None if chord is None else {"slope": chord.slope, "intercept": chord.intercept},
-        reasons,
-    )
-    _with_reason(payload, "auc", report.auc, reasons)
+    payload: dict = {}
+    for key, value in _record(report).items():
+        if key != "absent_reasons":
+            _with_reason(payload, key, _record(value), report.absent_reasons)
     return payload
+
+
+def report_text(report: TestReport) -> str:
+    """Plain-text document for a single-test report."""
+    lines = [
+        f"sensitivity: {format_real(report.test.sensitivity)}",
+        f"specificity: {format_real(report.test.specificity)}",
+        f"gain index (sens + spec): {report.epsilon:.6g}",
+    ]
+    for key, rows in _REPORT_TEXT:
+        value = getattr(report, key)
+        if value is None:
+            reason = report.absent_reasons.get(key, _UNDEFINED)
+            lines.append(f"{rows[0][0]}: undefined ({reason})")
+            continue
+        for label, attribute in rows:
+            number = value if attribute is None else getattr(value, attribute)
+            lines.append(f"{label}: {number:.6g}")
+    return "\n".join(lines) + "\n"
 
 
 def comparison_payload(report: ComparisonReport) -> dict:
     return {
-        "first": test_report_payload(report.first),
-        "second": test_report_payload(report.second),
-        "equal_epsilon": report.equal_epsilon,
-        "epsilon_difference": report.epsilon_difference,
-        "dominant": report.dominant,
-        "beta_order": {
-            "winner": report.beta_order.winner,
-            "difference": report.beta_order.difference,
-        },
-        "auc_order": {
-            "winner": report.auc_order.winner,
-            "difference": report.auc_order.difference,
-        },
+        key: test_report_payload(value) if isinstance(value, TestReport) else _record(value)
+        for key, value in _record(report).items()
     }
 
 
 def cohort_payload(result: CohortResult) -> dict:
-    payload: dict = {
-        "n": result.n,
-        "seed": result.seed,
-        "true_pos": result.true_pos,
-        "false_pos": result.false_pos,
-        "true_neg": result.true_neg,
-        "false_neg": result.false_neg,
-    }
-    payload["empirical_ppv"] = result.empirical_ppv
-    if result.empirical_ppv is None:
-        payload["empirical_ppv_reason"] = result.ppv_reason or "estimate absent"
-    payload["empirical_lr_plus"] = result.empirical_lr_plus
-    if result.empirical_lr_plus is None:
-        payload["empirical_lr_plus_reason"] = result.lr_reason or "estimate absent"
+    reasons = {"empirical_ppv": result.ppv_reason or "estimate absent",
+               "empirical_lr_plus": result.lr_reason or "estimate absent"}
+    payload: dict = {}
+    for key, value in _record(result).items():
+        if not key.endswith("_reason"):
+            _with_reason(payload, key, value, reasons)
     return payload
 
 

@@ -394,6 +394,11 @@ class TestCompareTests:
                 ScreeningTest(0.5, 0.5), ScreeningTest(0.5, 0.5), eps_tol=-1.0
             )
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_eps_tol_refuses_a_bool(self, flag):
+        with pytest.raises(ParameterError, match="eps_tol must be a finite number"):
+            compare_tests(ScreeningTest(0.5, 0.5), ScreeningTest(0.6, 0.6), eps_tol=flag)
+
     @given(
         eps=st.floats(min_value=1.02, max_value=1.96),
         f1=st.floats(min_value=0.01, max_value=0.99),

@@ -25,6 +25,8 @@ from screencurve import (
     simulate_cohort,
 )
 
+from screencurve.emit import report_text
+
 from _oracles import AUC_9575, PHI_E_9575
 
 
@@ -82,6 +84,20 @@ class TestParseCatalog:
 
     def test_comment_only_after_header(self):
         assert parse_catalog("name,sensitivity,specificity\n# nothing\n") == []
+
+    def test_lone_cr_ends_a_line(self):
+        entries = parse_catalog("name,sensitivity,specificity\rx,0.5,0.25\r")
+        assert [(e.name, e.test) for e in entries] == [("x", ScreeningTest(0.5, 0.25))]
+
+    @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1e"])
+    def test_unicode_line_breaks_do_not_end_a_line(self, mark):
+        text = f"name,sensitivity,specificity\n# note{mark} with a tail\nT1,1.2,0.5\n"
+        with pytest.raises(ParseError) as info:
+            parse_catalog(text)
+        assert info.value.line == 3
+        assert "sensitivity must lie in [0, 1]" in str(info.value)
+        entries = parse_catalog(f"name,sensitivity,specificity\na{mark}b,0.5,0.25\n")
+        assert [e.name for e in entries] == [f"a{mark}b"]
 
 
 class TestCatalogRoundTrip:
@@ -222,6 +238,9 @@ class TestEmitReport:
         assert payload["threshold"] is None
         assert payload["threshold_reason"] == "value is undefined here"
         assert "lr_plus_reason" not in payload
+        text = report_text(report)
+        assert "\nprevalence threshold phi_e: undefined (value is undefined here)\n" in text
+        assert "predictive value at threshold" not in text
 
     def test_unknown_payload_type(self):
         with pytest.raises(TypeError):

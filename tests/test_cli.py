@@ -303,6 +303,27 @@ class TestCatalogCommand:
         assert err.startswith("screencurve: error: cannot read ") and err.count("\n") == 1
         assert "not UTF-8" in err
 
+    def test_unicode_line_breaks_stay_inside_their_line(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text("name,sensitivity,specificity\n# note\x85 with NEL\nT1,1.2,0.5\n",
+                           encoding="utf-8")
+        named = tmp_path / "named.csv"
+        named.write_text("name,sensitivity,specificity\na\u2028b,0.95,0.75\n", encoding="utf-8")
+        package_root = str(Path(screencurve.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+        bad, good = (
+            subprocess.run(
+                [sys.executable, "-m", "screencurve", "catalog", str(target), "--json"],
+                capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+            )
+            for target in (catalog, named)
+        )
+        assert (bad.returncode, bad.stdout) == (2, "")
+        assert "line 3: sensitivity must lie in [0, 1], got '1.2'" in bad.stderr
+        assert good.returncode == 0, good.stderr
+        assert [row["name"] for row in json.loads(good.stdout)] == ["a\u2028b"]
+
     def test_negative_zero_prints_as_zero(self, tmp_path):
         catalog = tmp_path / "tests.csv"
         catalog.write_text("name,sensitivity,specificity\nz,-0,-0.0\n")
