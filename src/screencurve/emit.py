@@ -105,20 +105,20 @@ def _record(value):
     return {name: getattr(value, name) for name in names} if names else value
 
 
-def _with_reason(payload: dict, key: str, value, reasons) -> None:
-    """Insert value or an explicit null plus its sibling reason."""
-    payload[key] = value
-    if value is None:
-        payload[f"{key}_reason"] = reasons.get(key, _UNDEFINED)
+def _with_reasons(fields: dict, reasons) -> dict:
+    """JSON object of a record's fields, each None field followed by its reason."""
+    payload: dict = {}
+    for key, value in fields.items():
+        payload[key] = _record(value)
+        if value is None:
+            payload[f"{key}_reason"] = reasons.get(key, _UNDEFINED)
+    return payload
 
 
 def test_report_payload(report: TestReport) -> dict:
     """Fixed-order JSON payload for a single-test report."""
-    payload: dict = {}
-    for key, value in _record(report).items():
-        if key != "absent_reasons":
-            _with_reason(payload, key, _record(value), report.absent_reasons)
-    return payload
+    fields = _record(report)
+    return _with_reasons(fields, fields.pop("absent_reasons"))
 
 
 def report_text(report: TestReport) -> str:
@@ -148,13 +148,10 @@ def comparison_payload(report: ComparisonReport) -> dict:
 
 
 def cohort_payload(result: CohortResult) -> dict:
-    reasons = {"empirical_ppv": result.ppv_reason or "estimate absent",
-               "empirical_lr_plus": result.lr_reason or "estimate absent"}
-    payload: dict = {}
-    for key, value in _record(result).items():
-        if not key.endswith("_reason"):
-            _with_reason(payload, key, value, reasons)
-    return payload
+    fields = _record(result)
+    reasons = {"empirical_ppv": fields.pop("ppv_reason") or "estimate absent",
+               "empirical_lr_plus": fields.pop("lr_reason") or "estimate absent"}
+    return _with_reasons(fields, reasons)
 
 
 def emit_report(report: TestReport | ComparisonReport | CohortResult) -> str:

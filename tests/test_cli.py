@@ -23,6 +23,17 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(module, argv):
+    """Run ``python -m module argv`` in a fresh interpreter that imports this package."""
+    package_root = str(Path(screencurve.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+
+
 def line_value(output, prefix):
     for line in output.splitlines():
         if line.startswith(prefix):
@@ -309,16 +320,8 @@ class TestCatalogCommand:
                            encoding="utf-8")
         named = tmp_path / "named.csv"
         named.write_text("name,sensitivity,specificity\na\u2028b,0.95,0.75\n", encoding="utf-8")
-        package_root = str(Path(screencurve.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
-        bad, good = (
-            subprocess.run(
-                [sys.executable, "-m", "screencurve", "catalog", str(target), "--json"],
-                capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
-            )
-            for target in (catalog, named)
-        )
+        bad, good = (run_module("screencurve", ["catalog", str(target), "--json"])
+                     for target in (catalog, named))
         assert (bad.returncode, bad.stdout) == (2, "")
         assert "line 3: sensitivity must lie in [0, 1], got '1.2'" in bad.stderr
         assert good.returncode == 0, good.stderr
@@ -518,13 +521,7 @@ class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["screencurve", "screencurve.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
         argv = ["analyze", "--sens", "0.95", "--spec", "0.75", "--json"]
-        package_root = str(Path(screencurve.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
-        done = subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
-        )
+        done = run_module(module, argv)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert done.stdout == run(argv)[1]
