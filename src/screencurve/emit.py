@@ -30,18 +30,15 @@ def format_real(value: float) -> str:
     return f"{float(value):.12g}"
 
 
+#: JSON string escapes: the quote, the backslash and every control character.
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    # A printable string holds no control character; most keys and reasons are.
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return text
+    return text.translate(_ESCAPES)
 
 
 def render_json(value, indent: int = 0) -> str:

@@ -167,6 +167,18 @@ class TestRenderJson:
         assert '"x": 0.339056738915' in render_json({"x": 0.3390567389149261})
         assert '"x": 1' in render_json({"x": 1.0})
 
+    def test_string_escapes(self):
+        controls = "".join(map(chr, range(0x20)))
+        others = '\x7f\x85\xa0\u2028\U0001f600\u00e9 plain'
+        text = controls + '"\\' + others
+        want = "".join(f"\\u{code:04x}" for code in range(0x20)) + '\\"\\\\' + others
+        assert render_json(text) == f'"{want}"'
+        assert render_json({text: text}) == f'{{\n  "{want}": "{want}"\n}}'
+
+    @given(st.text())
+    def test_strings_round_trip(self, text):
+        assert json.loads(render_json([text])) == [text]
+
     def test_lists(self):
         assert json.loads(render_json([1, 2.5, "s", None])) == [1, 2.5, "s", None]
 
