@@ -24,7 +24,6 @@ from screencurve import (
     render_json,
     simulate_cohort,
 )
-
 from screencurve.emit import report_text
 
 from _oracles import AUC_9575, PHI_E_9575
