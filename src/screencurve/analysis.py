@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
-from .core import ScreeningTest, _ppv, _require_int
+from .core import ScreeningTest, _ppv, _require_int, _require_real
 from .errors import (
     DegenerateTestError,
     NonConvergenceError,
@@ -111,16 +111,13 @@ def auc_quadrature(
     the next.
 
     Raises:
-        ParameterError: if tol < 1e-13 or max_depth < 1.
+        ParameterError: unless tol is a finite number >= 1e-13 and max_depth >= 1.
         DegenerateTestError: for sensitivity 0 or specificity 1 (the
             integrand is 0/0 at an endpoint).
         NonConvergenceError: if some interval is still unresolved after
             ``max_depth`` bisections.
     """
-    if not (isinstance(tol, float) and math.isfinite(tol) and tol >= MIN_QUADRATURE_TOL):
-        raise ParameterError(
-            f"tol must be a real number >= {MIN_QUADRATURE_TOL:g}, got {tol!r}"
-        )
+    _require_real("tol", tol, MIN_QUADRATURE_TOL)
     _require_int("max_depth", max_depth, 1)
     _checked(_degenerate(test, "area under the curve"))
     a = test.sensitivity
@@ -263,9 +260,7 @@ def compare_tests(
     prefers the smaller angle, ``auc_order`` the larger area; both carry the
     signed gap second-minus-first.
     """
-    number = isinstance(eps_tol, (int, float)) and not isinstance(eps_tol, bool)
-    if not (number and math.isfinite(eps_tol) and eps_tol >= 0.0):
-        raise ParameterError(f"eps_tol must be a finite number >= 0, got {eps_tol!r}")
+    _require_real("eps_tol", eps_tol, 0.0)
 
     def report_or_blame(test: ScreeningTest, role: str) -> TestReport:
         try:

@@ -87,15 +87,14 @@ def emit_catalog(entries: Iterable[CatalogEntry]) -> str:
 
     Raises ParameterError for a name that ``parse_catalog`` would not read
     back as written: empty, duplicate, starting with ``#``, padded with
-    whitespace, or holding a comma or a line break.
+    whitespace, or holding a comma, ``\n`` or ``\r`` (its only line ends).
     """
     lines = [HEADER]
     seen: set[str] = set()
     for entry in entries:
         name = entry.name
-        # "".splitlines() is [], so the last test also refuses an empty name.
-        unreadable = name in seen or name.startswith("#") or "," in name
-        if unreadable or name != name.strip() or name.splitlines() != [name]:
+        unreadable = not name or name in seen or name.startswith("#") or "," in name
+        if unreadable or name != name.strip() or "\n" in name or "\r" in name:
             raise ParameterError(f"catalog name {name!r} would not read back as written")
         seen.add(name)
         lines.append(f"{name},{entry.test.sensitivity:.12g},{entry.test.specificity:.12g}")

@@ -146,13 +146,16 @@ def _write_text(path: str | None, text: str, out: TextIO) -> None:
             handle.write(text)
 
 
-def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
-    test = ScreeningTest(args.sens, args.spec)
-    # Strict: a single-test report on a degenerate test is an error (exit 1),
-    # unlike the batch `catalog` command which tolerates absent quantities.
-    report = build_test_report(test, strict=True)
+def _write_report(report, args: argparse.Namespace, out: TextIO) -> int:
     out.write(emit_report(report) if args.json else report_text(report))
     return 0
+
+
+def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
+    # Strict: a single-test report on a degenerate test is an error (exit 1),
+    # unlike the batch `catalog` command which tolerates absent quantities.
+    report = build_test_report(ScreeningTest(args.sens, args.spec), strict=True)
+    return _write_report(report, args, out)
 
 
 def _run_curve(args: argparse.Namespace, out: TextIO) -> int:
@@ -164,26 +167,7 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> int:
 
 def _run_compare(args: argparse.Namespace, out: TextIO) -> int:
     report = compare_tests(args.test1, args.test2, eps_tol=args.eps_tol)
-    if args.json:
-        out.write(emit_report(report))
-        return 0
-    out.write(f"test1: {args.test1.describe()}\n")
-    out.write(f"test2: {args.test2.describe()}\n")
-    out.write(f"gain index difference (test2 - test1): {report.epsilon_difference:.6g}\n")
-    out.write(f"equal gain index: {'yes' if report.equal_epsilon else 'no'}\n")
-    if report.dominant == "neither":
-        out.write("dominant: neither (curves coincide)\n")
-    else:
-        out.write(f"dominant: {'test1' if report.dominant == 'first' else 'test2'}\n")
-    out.write(
-        f"beta order: {report.beta_order.winner} "
-        f"(difference {report.beta_order.difference:.6g})\n"
-    )
-    out.write(
-        f"area order: {report.auc_order.winner} "
-        f"(difference {report.auc_order.difference:.6g})\n"
-    )
-    return 0
+    return _write_report(report, args, out)
 
 
 def _run_plot(args: argparse.Namespace, out: TextIO) -> int:
@@ -201,25 +185,7 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> int:
 
 def _run_simulate(args: argparse.Namespace, out: TextIO) -> int:
     test = ScreeningTest(args.sens, args.spec)
-    result = simulate_cohort(test, args.prev, args.n, args.seed)
-    if args.json:
-        out.write(emit_report(result))
-        return 0
-    out.write(f"cohort size: {result.n}\n")
-    out.write(f"seed: {result.seed}\n")
-    out.write(f"true positives: {result.true_pos}\n")
-    out.write(f"false positives: {result.false_pos}\n")
-    out.write(f"true negatives: {result.true_neg}\n")
-    out.write(f"false negatives: {result.false_neg}\n")
-    if result.empirical_ppv is not None:
-        out.write(f"empirical predictive value: {result.empirical_ppv:.6g}\n")
-    else:
-        out.write(f"empirical predictive value: undefined ({result.ppv_reason})\n")
-    if result.empirical_lr_plus is not None:
-        out.write(f"empirical LR+: {result.empirical_lr_plus:.6g}\n")
-    else:
-        out.write(f"empirical LR+: undefined ({result.lr_reason})\n")
-    return 0
+    return _write_report(simulate_cohort(test, args.prev, args.n, args.seed), args, out)
 
 
 def _run_catalog(args: argparse.Namespace, out: TextIO) -> int:

@@ -50,6 +50,13 @@ def _require_int(name: str, value: int, minimum: int) -> int:
     return value
 
 
+def _require_real(name: str, value: float, minimum: float) -> None:
+    """Validate a finite int or float (not a bool) of at least ``minimum``."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and minimum <= value < math.inf):
+        raise ParameterError(f"{name} must be a finite number >= {minimum:g}, got {value!r}")
+
+
 def _ppv(a: float, c: float, phi: float) -> float | None:
     """rho(phi) for sensitivity ``a`` and false-positive rate ``c``; None where 0/0."""
     positives = a * phi

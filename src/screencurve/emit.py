@@ -7,16 +7,17 @@ construction, every real number is rendered with 12 significant digits
 The JSON writer is local because the stock serializer renders floats with
 shortest-roundtrip precision, which is not the 12-digit contract.
 
-This is the only module that knows the report documents' layout.  A JSON
-record is the object of its type's declared fields, in declaration order,
-so a report's keys are the names of its fields.  The plain-text report of
-one test (``report_text``) follows one table of labels per derived field.
+This is the only module that knows the layout of the report documents (a
+test report, a comparison, a simulated cohort) in both forms.  A JSON
+record is the object of its type's declared fields, in declaration order.
+The text of a test report or a cohort is that payload with one label per
+key (``report_text``), so it prints the JSON's own reasons.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import ComparisonReport, TestReport
 from .cohort import CohortResult
@@ -76,18 +77,22 @@ def render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-#: Each derived field of a test report, in document order, with its text lines
-#: as (label, attribute of the field's value, or None for the value itself).
-#: An undefined field prints one line: its first label and the reason.
-_REPORT_TEXT = (
-    ("lr_plus", (("LR+", None),)),
-    ("threshold", (("prevalence threshold phi_e", "phi_e"),
-                   ("predictive value at threshold", "rho_e"))),
-    ("beta", (("beta (rad)", "beta_rad"), ("origin-chord slope", "origin_slope"))),
-    ("endpoint_chord", (("endpoint-chord slope", "slope"),
-                        ("endpoint-chord intercept", "intercept"))),
-    ("auc", (("area under curve", None),)),
-)
+#: Text label of each JSON key of a test report or a cohort.  A record's key
+#: holds its first field's label, which the record prints when undefined;
+#: ``test``, ``psi`` and the ``*_reason`` keys print no line of their own.
+#: Accuracies print at the JSON's 12 digits, other reals at 6, integers in full.
+_LABELS = {
+    "sensitivity": "sensitivity", "specificity": "specificity",
+    "epsilon": "gain index (sens + spec)", "lr_plus": "LR+",
+    "threshold": "prevalence threshold phi_e", "phi_e": "prevalence threshold phi_e",
+    "rho_e": "predictive value at threshold",
+    "beta": "beta (rad)", "beta_rad": "beta (rad)", "origin_slope": "origin-chord slope",
+    "endpoint_chord": "endpoint-chord slope", "slope": "endpoint-chord slope",
+    "intercept": "endpoint-chord intercept", "auc": "area under curve",
+    "n": "cohort size", "seed": "seed", "true_pos": "true positives",
+    "false_pos": "false positives", "true_neg": "true negatives", "false_neg": "false negatives",
+    "empirical_ppv": "empirical predictive value", "empirical_lr_plus": "empirical LR+",
+}
 
 _UNDEFINED = "value is undefined here"
 
@@ -118,50 +123,56 @@ def test_report_payload(report: TestReport) -> dict:
     return _with_reasons(fields, fields.pop("absent_reasons"))
 
 
-def report_text(report: TestReport) -> str:
-    """Plain-text document for a single-test report."""
-    lines = [
-        f"sensitivity: {format_real(report.test.sensitivity)}",
-        f"specificity: {format_real(report.test.specificity)}",
-        f"gain index (sens + spec): {report.epsilon:.6g}",
-    ]
-    for key, rows in _REPORT_TEXT:
-        value = getattr(report, key)
-        if value is None:
-            reason = report.absent_reasons.get(key, _UNDEFINED)
-            lines.append(f"{rows[0][0]}: undefined ({reason})")
-            continue
-        for label, attribute in rows:
-            number = value if attribute is None else getattr(value, attribute)
-            lines.append(f"{label}: {number:.6g}")
+def _payload(report: TestReport | ComparisonReport | CohortResult) -> dict:
+    """Fixed-order JSON payload of a report record; TypeError for anything else."""
+    if isinstance(report, TestReport):
+        return test_report_payload(report)
+    if isinstance(report, ComparisonReport):
+        return {
+            key: test_report_payload(value) if isinstance(value, TestReport) else _record(value)
+            for key, value in _record(report).items()
+        }
+    if isinstance(report, CohortResult):
+        fields = _record(report)
+        reasons = {"empirical_ppv": fields.pop("ppv_reason") or "estimate absent",
+                   "empirical_lr_plus": fields.pop("lr_reason") or "estimate absent"}
+        return _with_reasons(fields, reasons)
+    raise TypeError(f"cannot emit a report for {type(report).__name__}")
+
+
+def _labelled_lines(payload: dict) -> Iterator[str]:
+    """One ``label: value`` line per labelled leaf of ``payload``, in order."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _labelled_lines(value)
+        elif key in _LABELS and value is None:
+            yield f"{_LABELS[key]}: undefined ({payload[key + '_reason']})"
+        elif key in _LABELS:
+            digits = ".12g" if key in ("sensitivity", "specificity") else ".6g"
+            yield f"{_LABELS[key]}: {value if isinstance(value, int) else format(value, digits)}"
+
+
+def report_text(report: TestReport | ComparisonReport | CohortResult) -> str:
+    """Plain-text document for a test report, a comparison, or a simulated cohort."""
+    if isinstance(report, ComparisonReport):
+        dominant = {"first": "test1", "second": "test2", "neither": "neither (curves coincide)"}
+        lines = [
+            f"test1: {report.first.test.describe()}",
+            f"test2: {report.second.test.describe()}",
+            f"gain index difference (test2 - test1): {report.epsilon_difference:.6g}",
+            f"equal gain index: {'yes' if report.equal_epsilon else 'no'}",
+            f"dominant: {dominant[report.dominant]}",
+            *(f"{name} order: {order.winner} (difference {order.difference:.6g})"
+              for name, order in (("beta", report.beta_order), ("area", report.auc_order))),
+        ]
+    else:
+        lines = _labelled_lines(_payload(report))
     return "\n".join(lines) + "\n"
-
-
-def comparison_payload(report: ComparisonReport) -> dict:
-    return {
-        key: test_report_payload(value) if isinstance(value, TestReport) else _record(value)
-        for key, value in _record(report).items()
-    }
-
-
-def cohort_payload(result: CohortResult) -> dict:
-    fields = _record(result)
-    reasons = {"empirical_ppv": fields.pop("ppv_reason") or "estimate absent",
-               "empirical_lr_plus": fields.pop("lr_reason") or "estimate absent"}
-    return _with_reasons(fields, reasons)
 
 
 def emit_report(report: TestReport | ComparisonReport | CohortResult) -> str:
     """JSON document for a test report, a comparison, or a simulated cohort."""
-    if isinstance(report, TestReport):
-        payload = test_report_payload(report)
-    elif isinstance(report, ComparisonReport):
-        payload = comparison_payload(report)
-    elif isinstance(report, CohortResult):
-        payload = cohort_payload(report)
-    else:
-        raise TypeError(f"cannot emit a report for {type(report).__name__}")
-    return render_json(payload) + "\n"
+    return render_json(_payload(report)) + "\n"
 
 
 def emit_curve_csv(samples: Iterable[CurvePoint]) -> str:

@@ -122,6 +122,20 @@ class TestAucQuadrature:
         with pytest.raises(ParameterError):
             auc_quadrature(ScreeningTest(0.5, 0.5), tol=1e-14)
 
+    def test_integer_tolerance_is_accepted(self):
+        t = ScreeningTest(0.95, 0.75)
+        assert auc_quadrature(t, tol=1) == pytest.approx(auc_closed_form(t), abs=1e-2)
+        assert compare_tests(t, ScreeningTest(0.75, 0.95), eps_tol=1).equal_epsilon
+        assert compare_tests(t, ScreeningTest(0.75, 0.95), eps_tol=10**400).equal_epsilon
+
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, "1e-10"])
+    def test_tolerances_refuse_what_is_not_a_finite_number(self, bad):
+        t = ScreeningTest(0.95, 0.75)
+        with pytest.raises(ParameterError, match="tol must be a finite number >= 1e-13"):
+            auc_quadrature(t, tol=bad)
+        with pytest.raises(ParameterError, match="eps_tol must be a finite number >= 0"):
+            compare_tests(t, ScreeningTest(0.75, 0.95), eps_tol=bad)
+
     @pytest.mark.parametrize("bad_depth", [0, -1, 2.5])
     def test_depth_validation(self, bad_depth):
         with pytest.raises(ParameterError):

@@ -135,12 +135,20 @@ class TestCatalogRoundTrip:
 
     @pytest.mark.parametrize(
         "names",
-        [[""], ["#x"], [" y "], ["y "], ["a,b"], ["a\nb"], ["a\rb"], ["a\u2028b"], ["t", "t"]],
+        [[""], ["#x"], [" y "], ["y "], ["a,b"], ["a\nb"], ["a\rb"], ["a\u2028"], ["t", "t"]],
     )
     def test_refuses_names_that_would_not_read_back(self, names):
         entries = [CatalogEntry(name, ScreeningTest(0.5, 0.5)) for name in names]
         with pytest.raises(ParameterError, match="would not read back as written"):
             emit_catalog(entries)
+
+    @pytest.mark.parametrize("name", ["a\u2028b", "a\u0085b", "a\x0bb", "a\x1cb"])
+    def test_round_trips_names_holding_other_line_breaks(self, name):
+        # parse_catalog ends lines only at \n and \r, so these stay in the name.
+        text = f"name,sensitivity,specificity\n{name},0.5,0.5\n"
+        entries = parse_catalog(text)
+        assert entries == [CatalogEntry(name, ScreeningTest(0.5, 0.5))]
+        assert emit_catalog(entries) == text
 
 
 class TestRenderJson:

@@ -4,15 +4,20 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import screencurve
+from screencurve import CohortResult, ScreeningTest, build_test_report, simulate_cohort
 from screencurve.cli import cli_dispatch
+from screencurve.emit import emit_report, report_text
 
 from _oracles import PHI_E_9575
 
@@ -449,6 +454,200 @@ class TestReportBytes:
         assert digest.hexdigest() == (
             "99db715967ddf61ea439fec4dbe505d3ac85f1b5cf60c4a8df84d12ed6c42acc"
         )
+
+
+#: The JSON path of the value each text label prints, in document order.  An
+#: undefined record prints one line: its first field's label and its reason.
+TEXT_PATHS = {
+    "sensitivity": ("test", "sensitivity"),
+    "specificity": ("test", "specificity"),
+    "gain index (sens + spec)": ("epsilon",),
+    "LR+": ("lr_plus",),
+    "prevalence threshold phi_e": ("threshold", "phi_e"),
+    "predictive value at threshold": ("threshold", "rho_e"),
+    "beta (rad)": ("beta", "beta_rad"),
+    "origin-chord slope": ("beta", "origin_slope"),
+    "endpoint-chord slope": ("endpoint_chord", "slope"),
+    "endpoint-chord intercept": ("endpoint_chord", "intercept"),
+    "area under curve": ("auc",),
+    "cohort size": ("n",),
+    "seed": ("seed",),
+    "true positives": ("true_pos",),
+    "false positives": ("false_pos",),
+    "true negatives": ("true_neg",),
+    "false negatives": ("false_neg",),
+    "empirical predictive value": ("empirical_ppv",),
+    "empirical LR+": ("empirical_lr_plus",),
+}
+
+COUNT_KEYS = ("n", "seed", "true_pos", "false_pos", "true_neg", "false_neg")
+
+
+def text_from_json(payload):
+    """The text document a JSON payload should print, label by label."""
+    lines, undefined = [], set()
+    for label, (key, *field) in TEXT_PATHS.items():
+        if key not in payload or key in undefined:
+            continue
+        value = payload[key]
+        if value is None:
+            undefined.add(key)
+            lines.append(f"{label}: undefined ({payload[key + '_reason']})")
+            continue
+        value = value[field[0]] if field else value
+        if key in COUNT_KEYS:
+            lines.append(f"{label}: {value}")
+        else:
+            digits = ".12g" if key == "test" else ".6g"
+            lines.append(f"{label}: {float(value):{digits}}")
+    return "\n".join(lines) + "\n"
+
+
+class TestTextIsLabelledJson:
+    @pytest.mark.parametrize("row", REPORT_ROWS, ids=[row[0] for row in REPORT_ROWS])
+    def test_test_reports(self, row):
+        report = build_test_report(ScreeningTest(row[1], row[2]), strict=False)
+        assert report_text(report) == text_from_json(json.loads(emit_report(report)))
+
+    @pytest.mark.parametrize(
+        "a, b, prevalence, n",
+        [
+            (0.95, 0.75, 0.34, 10_000),  # every count and both estimates
+            (0.0, 1.0, 0.5, 100),  # no subject tests positive
+            (0.95, 0.75, 0.0, 100),  # no diseased subject
+            (0.95, 0.75, 1.0, 100),  # no healthy subject
+            (0.0, 0.5, 0.5, 100),  # no true positive
+            (0.5, 0.5, 0.34, 1),
+        ],
+    )
+    def test_cohorts(self, a, b, prevalence, n):
+        result = simulate_cohort(ScreeningTest(a, b), prevalence, n, 7)
+        text = report_text(result)
+        assert text == text_from_json(json.loads(emit_report(result)))
+        if result.empirical_ppv is None:
+            assert f"empirical predictive value: undefined ({result.ppv_reason})\n" in text
+
+    def test_hand_built_cohort_without_reasons(self):
+        result = CohortResult(n=0, seed=1, true_pos=0, false_pos=0, true_neg=0,
+                              false_neg=0, empirical_ppv=None, empirical_lr_plus=None)
+        text = report_text(result)
+        assert text == text_from_json(json.loads(emit_report(result)))
+        assert text.endswith(
+            "empirical predictive value: undefined (estimate absent)\n"
+            "empirical LR+: undefined (estimate absent)\n"
+        )
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError):
+            report_text(object())
+
+
+#: Argument strings a user could type: interior probabilities; then limits,
+#: underflows, signs and non-ASCII digits; then strings that are out of
+#: domain, non-finite, hexadecimal or not a number.
+PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr)
+HOSTILE = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.sampled_from([
+        "-0", "1e-400", "0", "1", "0.5", "0.95", "0.75", "1e-40", "5e-324", "1e-310",
+        "0.9999999999999999", "\u0660.\u0665", "\uff10.\uff15",
+    ]),
+    st.sampled_from(["nan", "0x1p-3", "inf", "-inf", "2", "-1", "", "abc"]),
+)
+# --samples and --n have no upper bound, so a larger draw could build 1e9
+# points; whether such sizes should be a usage error is left open.  Every
+# count drawn here stays at or below 1e4.
+COUNTS = st.integers(min_value=1, max_value=10_000).map(str)
+HOSTILE_COUNTS = COUNTS | st.sampled_from(["0", "-1", "nan", "1e3", "\u0663", "54", "x"])
+NAMES = st.sampled_from(["a", "b", "c", "d", "e f", " g ", "\u00fc", "h\u2028i", "j\x85k"])
+HEADER = "name,sensitivity,specificity"
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, catalog bytes) for one subcommand; {dir} stands for a scratch directory.
+
+    Half the draws are hostile: any number or count may be malformed, and
+    the catalog, its path and the output path may be unusable.
+    """
+    hostile = draw(st.booleans())
+    number = HOSTILE if hostile else PROBABILITIES
+    count = HOSTILE_COUNTS if hostile else COUNTS
+    rows = draw(st.lists(st.tuples(NAMES, number, number).map(",".join), min_size=1,
+                         max_size=4, unique_by=lambda row: row.split(",")[0].strip()))
+    catalog, out, header, junk = "{dir}/tests.csv", "{dir}/out.txt", HEADER, []
+    if hostile:
+        catalog = draw(st.sampled_from([catalog, "{dir}/absent.csv", "{dir}"]))
+        out = draw(st.sampled_from([out, "-", "{dir}", "{dir}/missing/out.txt"]))
+        header = draw(st.sampled_from([header, "\ufeff" + header, "name,sens,spec"]))
+        junk = draw(st.lists(st.sampled_from([",0.5,0.5", "#comment", "x", "a,0.5,0.5"])))
+    document = "\n".join([header, *rows, *junk]) + "\n"
+    data = document.encode("utf-8")
+    if hostile and draw(st.booleans()):
+        data = b"\xff" + data
+
+    command = draw(st.sampled_from(
+        ["analyze", "curve", "compare", "plot", "simulate", "catalog", "limit-sweep"]
+    ))
+    argv = [command]
+    if command in ("analyze", "curve", "simulate"):
+        argv += ["--sens", draw(number), "--spec", draw(number)]
+    if command == "curve":
+        argv += ["--samples", draw(count)] + draw(st.sampled_from([[], ["--out", out]]))
+    elif command == "compare":
+        pairs = st.tuples(number, number).map(",".join)
+        if hostile:
+            pairs |= st.sampled_from(["0.5", "0.5,0.5,0.5", ","])
+        argv += ["--test1", draw(pairs), "--test2", draw(pairs)]
+        argv += draw(st.sampled_from([[], ["--eps-tol", draw(number)]]))
+    elif command == "plot":
+        argv += ["--catalog", catalog, "--out", out, "--samples", draw(count)]
+        argv += draw(st.lists(st.sampled_from(["--threshold", "--beta", "--chords"])))
+    elif command == "simulate":
+        argv += ["--prev", draw(number), "--n", draw(count), "--seed", draw(count)]
+    elif command == "catalog":
+        argv.append(catalog)
+    elif command == "limit-sweep":
+        argv += ["--steps", draw(count)]
+    if command not in ("curve", "plot") and draw(st.booleans()):
+        argv.append("--json")
+    return argv, data
+
+
+def in_domain(text):
+    """The probability ``text`` names, or None when it is not one."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if 0.0 <= value <= 1.0 else None
+
+
+class TestContractSweep:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("sweep")
+
+    @settings(max_examples=300)
+    @given(case=command_lines())
+    def test_exit_codes_and_outputs(self, scratch, case):
+        argv, catalog = case
+        (scratch / "tests.csv").write_bytes(catalog)
+        argv = [arg.replace("{dir}", str(scratch)) for arg in argv]
+        code, out, err = run(argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or out == ""
+        assert "Traceback" not in err
+        if code == 0 and "--json" in argv:
+            json.loads(out)
+        if argv[0] == "analyze" and None not in (a := in_domain(argv[2]), b := in_domain(argv[4])):
+            # The limits are the geometry's own formulas for phi_e and beta.
+            c = 1.0 - b
+            degenerate = a == 0.0 or b == 1.0 or (
+                math.sqrt(c) / (math.sqrt(a) + math.sqrt(c)) == 1.0
+                or math.atan(math.sqrt(c / a)) == math.pi / 2.0
+            )
+            assert code == (1 if degenerate else 0), (argv, err)
 
 
 class TestTinySensitivity:
