@@ -12,119 +12,57 @@ angle, chord slopes and the positive likelihood ratio they encode, and the
 area under the curve — plus a counter-based synthetic-cohort simulator for
 empirical cross-checks, CSV/JSON/SVG emitters, and a command-line front
 end.
+
+``import screencurve`` loads no submodule: each public name is imported
+from its module on first use (PEP 562) and then read as a plain global.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .analysis import (
-    ComparisonReport,
-    MetricOrdering,
-    TestReport,
-    auc_closed_form,
-    auc_quadrature,
-    build_test_report,
-    compare_tests,
-    fts_limit_sweep,
-)
-from .catalog import CatalogEntry, emit_catalog, parse_catalog
-from .cohort import (
-    CohortResult,
-    EmpiricalPoint,
-    empirical_ppv_curve,
-    simulate_cohort,
-)
-from .core import CurvePoint, ScreeningTest, curve_samples, epsilon, ppv
-from .emit import emit_curve_csv, emit_report, render_json
-from .errors import (
-    AbsentEstimateError,
-    ComparatorInconsistencyError,
-    DegenerateAngleError,
-    DegenerateTestError,
-    DomainError,
-    EpsilonOneError,
-    IndeterminateError,
-    InfiniteLRError,
-    NonConvergenceError,
-    ParameterError,
-    ParseError,
-    ScreeningError,
-    ZeroLRError,
-)
-from .geometry import (
-    BetaGeometry,
-    ChordLine,
-    ChordPair,
-    ThresholdPoint,
-    beta_geometry,
-    chords_at,
-    endpoint_chord_line,
-    lr_positive_direct,
-    lr_positive_from_beta,
-    lr_positive_from_chords,
-    prevalence_threshold,
-    threshold_equivalence_check,
-)
-from .svgplot import PlotSpec, render_screening_plane
+#: The public names of each submodule.
+_EXPORTS = {
+    "core": ("ScreeningTest", "CurvePoint", "ppv", "epsilon", "curve_samples"),
+    "geometry": (
+        "ThresholdPoint", "BetaGeometry", "ChordPair", "ChordLine", "prevalence_threshold",
+        "threshold_equivalence_check", "beta_geometry", "chords_at", "endpoint_chord_line",
+        "lr_positive_direct", "lr_positive_from_beta", "lr_positive_from_chords",
+    ),
+    "analysis": (
+        "TestReport", "ComparisonReport", "MetricOrdering", "auc_closed_form", "auc_quadrature",
+        "build_test_report", "compare_tests", "fts_limit_sweep",
+    ),
+    "cohort": ("CohortResult", "EmpiricalPoint", "simulate_cohort", "empirical_ppv_curve"),
+    "catalog": ("CatalogEntry", "parse_catalog", "emit_catalog"),
+    "emit": ("emit_report", "emit_curve_csv", "render_json"),
+    "svgplot": ("PlotSpec", "render_screening_plane"),
+    "errors": (
+        "ScreeningError", "ParameterError", "DomainError", "IndeterminateError",
+        "DegenerateTestError", "InfiniteLRError", "ZeroLRError", "DegenerateAngleError",
+        "EpsilonOneError", "NonConvergenceError", "AbsentEstimateError",
+        "ComparatorInconsistencyError", "ParseError",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
 
-__all__ = [
-    "__version__",
-    # core
-    "ScreeningTest",
-    "CurvePoint",
-    "ppv",
-    "epsilon",
-    "curve_samples",
-    # geometry
-    "ThresholdPoint",
-    "BetaGeometry",
-    "ChordPair",
-    "ChordLine",
-    "prevalence_threshold",
-    "threshold_equivalence_check",
-    "beta_geometry",
-    "chords_at",
-    "endpoint_chord_line",
-    "lr_positive_direct",
-    "lr_positive_from_beta",
-    "lr_positive_from_chords",
-    # analysis
-    "TestReport",
-    "ComparisonReport",
-    "MetricOrdering",
-    "auc_closed_form",
-    "auc_quadrature",
-    "build_test_report",
-    "compare_tests",
-    "fts_limit_sweep",
-    # cohort
-    "CohortResult",
-    "EmpiricalPoint",
-    "simulate_cohort",
-    "empirical_ppv_curve",
-    # catalog and emitters
-    "CatalogEntry",
-    "parse_catalog",
-    "emit_catalog",
-    "emit_report",
-    "emit_curve_csv",
-    "render_json",
-    # plotting
-    "PlotSpec",
-    "render_screening_plane",
-    # errors
-    "ScreeningError",
-    "ParameterError",
-    "DomainError",
-    "IndeterminateError",
-    "DegenerateTestError",
-    "InfiniteLRError",
-    "ZeroLRError",
-    "DegenerateAngleError",
-    "EpsilonOneError",
-    "NonConvergenceError",
-    "AbsentEstimateError",
-    "ComparatorInconsistencyError",
-    "ParseError",
-]
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    """Import a public name's module, or a submodule, on first access."""
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,13 +20,11 @@ import sys
 from typing import TextIO
 
 from . import __version__
-from .analysis import build_test_report, compare_tests, fts_limit_sweep
-from .catalog import parse_catalog
-from .cohort import simulate_cohort
 from .core import ScreeningTest, curve_samples
-from .emit import emit_curve_csv, emit_report, format_real, render_json, report_text, test_report_payload
 from .errors import ParameterError, ParseError, ScreeningError
-from .svgplot import PlotSpec, render_screening_plane
+
+# Each runner imports the rest of the package it uses, so a subcommand loads
+# only its own modules.
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
 
@@ -83,6 +81,34 @@ def _pair(text: str) -> ScreeningTest:
         return ScreeningTest(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+#: Every option that takes a value.  argparse reads a value such as "-1e-3"
+#: or "-inf" as an option name, so ``_join_negative_values`` joins it to one
+#: of these as "--opt=value" and the option's own type names it.
+_VALUE_OPTIONS = frozenset({
+    "--sens", "--spec", "--prev", "--samples", "--n", "--seed", "--steps",
+    "--test1", "--test2", "--eps-tol", "--out", "--catalog",
+})
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text.partition(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each number that starts with "-" joined to the option before it."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _VALUE_OPTIONS and arg.startswith("-") and _is_number(arg):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,11 +173,13 @@ def _write_text(path: str | None, text: str, out: TextIO) -> None:
 
 
 def _write_report(report, args: argparse.Namespace, out: TextIO) -> int:
+    from .emit import emit_report, report_text
     out.write(emit_report(report) if args.json else report_text(report))
     return 0
 
 
 def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
+    from .analysis import build_test_report
     # Strict: a single-test report on a degenerate test is an error (exit 1),
     # unlike the batch `catalog` command which tolerates absent quantities.
     report = build_test_report(ScreeningTest(args.sens, args.spec), strict=True)
@@ -159,6 +187,7 @@ def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _run_curve(args: argparse.Namespace, out: TextIO) -> int:
+    from .emit import emit_curve_csv
     test = ScreeningTest(args.sens, args.spec)
     samples = curve_samples(test, args.samples)
     _write_text(args.out, emit_curve_csv(samples), out)
@@ -166,11 +195,14 @@ def _run_curve(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _run_compare(args: argparse.Namespace, out: TextIO) -> int:
+    from .analysis import compare_tests
     report = compare_tests(args.test1, args.test2, eps_tol=args.eps_tol)
     return _write_report(report, args, out)
 
 
 def _run_plot(args: argparse.Namespace, out: TextIO) -> int:
+    from .catalog import parse_catalog
+    from .svgplot import PlotSpec, render_screening_plane
     entries = parse_catalog(_read_text(args.catalog))
     spec = PlotSpec(
         entries=tuple(entries),
@@ -184,11 +216,15 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _run_simulate(args: argparse.Namespace, out: TextIO) -> int:
+    from .cohort import simulate_cohort
     test = ScreeningTest(args.sens, args.spec)
     return _write_report(simulate_cohort(test, args.prev, args.n, args.seed), args, out)
 
 
 def _run_catalog(args: argparse.Namespace, out: TextIO) -> int:
+    from .analysis import build_test_report
+    from .catalog import parse_catalog
+    from .emit import render_json, report_text, test_report_payload
     entries = parse_catalog(_read_text(args.path))
     reports = [(entry.name, build_test_report(entry.test, strict=False)) for entry in entries]
     if args.json:
@@ -200,6 +236,8 @@ def _run_catalog(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _run_limit_sweep(args: argparse.Namespace, out: TextIO) -> int:
+    from .analysis import fts_limit_sweep
+    from .emit import format_real, render_json
     rows = fts_limit_sweep(args.steps)
     if args.json:
         payload = [{"epsilon": eps, "auc": auc} for eps, auc in rows]
@@ -229,7 +267,7 @@ def cli_dispatch(argv: list[str], stdout: TextIO | None = None, stderr: TextIO |
     parser = build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

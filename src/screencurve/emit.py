@@ -17,11 +17,14 @@ key (``report_text``), so it prints the JSON's own reasons.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .analysis import ComparisonReport, TestReport
-from .cohort import CohortResult
 from .core import CurvePoint
+
+if TYPE_CHECKING:
+    from .analysis import ComparisonReport, TestReport
+    from .cohort import CohortResult
 
 __all__ = ["format_real", "render_json", "emit_report", "report_text", "emit_curve_csv"]
 
@@ -123,21 +126,48 @@ def test_report_payload(report: TestReport) -> dict:
     return _with_reasons(fields, fields.pop("absent_reasons"))
 
 
+def _comparison_payload(report: ComparisonReport) -> dict:
+    """Both sides as test-report payloads, every other field as its record."""
+    return {key: (_builder(type(value)) or _record)(value) for key, value in _record(report).items()}
+
+
+def _cohort_payload(result: CohortResult) -> dict:
+    """The cohort's fields, each absent estimate followed by its reason."""
+    fields = _record(result)
+    reasons = {"empirical_ppv": fields.pop("ppv_reason") or "estimate absent",
+               "empirical_lr_plus": fields.pop("lr_reason") or "estimate absent"}
+    return _with_reasons(fields, reasons)
+
+
+#: (module, class, payload builder) of each report record.  emit imports
+#: neither module: a record exists only once its module is loaded, so its
+#: class is read from there, once per type that reaches ``_builder``.
+_REPORTS = (
+    ("analysis", "TestReport", test_report_payload),
+    ("analysis", "ComparisonReport", _comparison_payload),
+    ("cohort", "CohortResult", _cohort_payload),
+)
+_BUILDERS: dict = {}
+
+
+def _builder(kind: type):
+    """The payload builder of instances of ``kind`` (as isinstance sees them), or None."""
+    if kind not in _BUILDERS:
+        # A module not loaded yields (), and no type is a subclass of ().
+        _BUILDERS[kind] = next(
+            (build for module, name, build in _REPORTS
+             if issubclass(kind, getattr(sys.modules.get(f"{__package__}.{module}"), name, ()))),
+            None,
+        )
+    return _BUILDERS[kind]
+
+
 def _payload(report: TestReport | ComparisonReport | CohortResult) -> dict:
     """Fixed-order JSON payload of a report record; TypeError for anything else."""
-    if isinstance(report, TestReport):
-        return test_report_payload(report)
-    if isinstance(report, ComparisonReport):
-        return {
-            key: test_report_payload(value) if isinstance(value, TestReport) else _record(value)
-            for key, value in _record(report).items()
-        }
-    if isinstance(report, CohortResult):
-        fields = _record(report)
-        reasons = {"empirical_ppv": fields.pop("ppv_reason") or "estimate absent",
-                   "empirical_lr_plus": fields.pop("lr_reason") or "estimate absent"}
-        return _with_reasons(fields, reasons)
-    raise TypeError(f"cannot emit a report for {type(report).__name__}")
+    build = _builder(type(report))
+    if build is None:
+        raise TypeError(f"cannot emit a report for {type(report).__name__}")
+    return build(report)
 
 
 def _labelled_lines(payload: dict) -> Iterator[str]:
@@ -154,7 +184,7 @@ def _labelled_lines(payload: dict) -> Iterator[str]:
 
 def report_text(report: TestReport | ComparisonReport | CohortResult) -> str:
     """Plain-text document for a test report, a comparison, or a simulated cohort."""
-    if isinstance(report, ComparisonReport):
+    if _builder(type(report)) is _comparison_payload:
         dominant = {"first": "test1", "second": "test2", "neither": "neither (curves coincide)"}
         lines = [
             f"test1: {report.first.test.describe()}",

@@ -88,6 +88,27 @@ class TestAnalyze:
              "argument --test1: could not convert string to float: 'x'"),
             (["compare", "--test1", "0.5,0.5", "--test2", "1.5,0.5"],
              "argument --test2: sensitivity must lie in [0, 1], got 1.5"),
+            # A value that starts with "-" but is no plain negative decimal,
+            # which argparse alone would read as an option name.
+            (["analyze", "--sens", "-1e-3", "--spec", "0.5"],
+             "argument --sens: '-1e-3' is not in [0, 1]"),
+            (["analyze", "--sens", "0.5", "--spec", "-inf"],
+             "argument --spec: '-inf' is not in [0, 1]"),
+            (["curve", "--sens", "0.5", "--spec", "0.5", "--samples", "-1e2"],
+             "argument --samples: '-1e2' is not an integer"),
+            (["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "-1e-3"],
+             "argument --prev: '-1e-3' is not in [0, 1]"),
+            (["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--n", "-1e3"],
+             "argument --n: '-1e3' is not an integer"),
+            (["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--seed", "-1e3"],
+             "argument --seed: '-1e3' is not an integer"),
+            (["compare", "--test1", "-0.5,0.3", "--test2", "0.5,0.5"],
+             "argument --test1: sensitivity must lie in [0, 1], got -0.5"),
+            (["compare", "--test1", "0.5,0.5", "--test2", "-1e-3,0.5"],
+             "argument --test2: sensitivity must lie in [0, 1], got -0.001"),
+            (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps-tol", "-inf"],
+             "eps_tol must be a finite number >= 0, got -inf"),
+            (["limit-sweep", "--steps", "-1e1"], "argument --steps: '-1e1' is not an integer"),
         ],
     )
     def test_malformed_argument_is_usage_error(self, argv, message):
@@ -714,6 +735,31 @@ class TestDispatchPlumbing:
         code, out, _ = run(["--help"])
         assert code == 0
         assert "analyze" in out
+
+
+class TestNegativeLookingValues:
+    """Values that start with "-" next to the cases the parser must still refuse."""
+
+    def test_a_negative_seed_still_runs(self):
+        argv = ["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--n", "10"]
+        code, out, err = run([*argv, "--seed", "-1"])
+        assert code == 0 and err == ""
+        assert f"seed: {2**64 - 1}" in out
+
+    def test_a_dash_out_still_writes_to_stdout(self):
+        argv = ["curve", "--sens", "0.5", "--spec", "0.5", "--samples", "3"]
+        assert run([*argv, "--out", "-"]) == run(argv)
+
+    @pytest.mark.parametrize("option", ["--spec", "-h"])
+    def test_an_option_name_after_an_option_is_still_a_missing_value(self, option):
+        code, out, err = run(["analyze", "--sens", option, "0.5"])
+        assert code == 2 and out == ""
+        assert "argument --sens: expected one argument" in err
+
+    def test_a_number_after_a_flag_is_still_unrecognized(self):
+        code, _, err = run(["analyze", "--sens", "0.5", "--spec", "0.5", "--json", "-1e-3"])
+        assert code == 2
+        assert "unrecognized arguments: -1e-3" in err
 
 
 class TestModuleEntryPoints:

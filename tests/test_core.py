@@ -210,7 +210,9 @@ def test_epsilon_is_not_nan_for_valid_tests():
     assert not math.isnan(ScreeningTest(0.0, 0.0).epsilon)
 
 
-@pytest.mark.parametrize("module", ["core", "geometry", "analysis", "cohort"])
+@pytest.mark.parametrize(
+    "module", ["core", "geometry", "analysis", "cohort", "emit", "cli", "catalog", "svgplot"]
+)
 def test_numpy_stays_in_the_cohort_simulator(module):
     # cohort imports numpy inside its kernel, on the first simulation.
     namespace = vars(importlib.import_module(f"screencurve.{module}"))
@@ -222,8 +224,20 @@ def test_numpy_stays_in_the_cohort_simulator(module):
     assert numpy_modules == []
 
 
+def run_fresh(script, *argv):
+    """Run ``script`` in a fresh interpreter that imports this package; return its stdout."""
+    src = str(Path(screencurve.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_numpy_loads_on_the_first_simulation():
-    script = """
+    run_fresh("""
 import io, sys
 import screencurve
 from screencurve.cli import cli_dispatch
@@ -235,11 +249,108 @@ out = io.StringIO()
 argv = ["simulate", "--sens", "0.95", "--spec", "0.75", "--prev", "0.34", "--n", "1000"]
 assert cli_dispatch(argv, out, io.StringIO()) == 0
 assert "numpy" in sys.modules and "cohort size: 1000" in out.getvalue()
-"""
-    src = str(Path(screencurve.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
+""")
 
+
+#: Prints the package's loaded submodules (and numpy) after ``import
+#: screencurve`` and after one CLI call with the given arguments.
+LOADED_BY_A_SUBCOMMAND = """
+import io, sys
+def loaded():
+    names = {m.split(".")[1] for m in sys.modules if m.startswith("screencurve.")}
+    return " ".join(sorted(names | ({"numpy"} & sys.modules.keys())))
+import screencurve
+print(loaded())
+from screencurve.cli import cli_dispatch
+assert cli_dispatch(sys.argv[1:], io.StringIO(), io.StringIO()) == 0
+print(loaded())
+"""
+
+REPORTING = "analysis cli core emit errors geometry"
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["curve", "--sens", "0.9", "--spec", "0.8"], "cli core emit errors"),
+        (["analyze", "--sens", "0.9", "--spec", "0.8"], REPORTING),
+        (["compare", "--test1", "0.9,0.8", "--test2", "0.8,0.9", "--json"], REPORTING),
+        (["limit-sweep", "--steps", "3"], REPORTING),
+        (["catalog", "{catalog}"], "analysis catalog cli core emit errors geometry"),
+        (["plot", "--catalog", "{catalog}", "--out", "{svg}"],
+         "analysis catalog cli core errors geometry svgplot"),
+        (["simulate", "--sens", "0.9", "--spec", "0.8", "--prev", "0.3", "--n", "100"],
+         "cli cohort core emit errors numpy"),
+    ],
+)
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    catalog = tmp_path / "tests.csv"
+    catalog.write_text("name,sensitivity,specificity\nA,0.9,0.8\n", encoding="utf-8")
+    argv = [arg.format(catalog=catalog, svg=tmp_path / "plot.svg") for arg in argv]
+    assert run_fresh(LOADED_BY_A_SUBCOMMAND, *argv).splitlines() == ["", modules]
+
+
+class TestLazyNamespace:
+    def test_the_import_loads_no_submodule_until_a_name_is_used(self):
+        run_fresh("""
+import sys
+import screencurve
+assert [m for m in sys.modules if m.startswith("screencurve.")] == []
+assert screencurve.cohort is sys.modules["screencurve.cohort"]
+assert screencurve.ScreeningTest is sys.modules["screencurve.core"].ScreeningTest
+""")
+
+    def test_every_public_name_is_its_modules_object(self):
+        for name in screencurve.__all__:
+            value = getattr(screencurve, name)
+            if name != "__version__":
+                assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from screencurve import *", namespace)
+        assert set(screencurve.__all__) <= namespace.keys()
+        assert all(namespace[name] is getattr(screencurve, name) for name in screencurve.__all__)
+
+    def test_dir_covers_the_public_names(self):
+        assert set(screencurve.__all__) <= set(dir(screencurve))
+
+    def test_unknown_names_are_attribute_errors(self):
+        assert not hasattr(screencurve, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            screencurve.no_such_name
+
+
+#: Emits ``object()``, then a cohort, in an interpreter where ``analysis``
+#: is loaded first only when asked.
+EMIT_BEFORE_ITS_RECORDS_LOAD = """
+import sys
+from screencurve.emit import emit_report, report_text
+if sys.argv[1:] == ["analysis"]:
+    import screencurve.analysis
+else:
+    assert "screencurve.analysis" not in sys.modules
+assert "screencurve.cohort" not in sys.modules
+for emit in (emit_report, report_text):
+    try:
+        emit(object())
+    except TypeError:
+        pass
+    else:
+        raise AssertionError(f"{emit.__name__} accepted an object")
+from screencurve.cohort import CohortResult
+result = CohortResult(n=10, seed=3, true_pos=2, false_pos=1, true_neg=6, false_neg=1,
+                      empirical_ppv=2 / 3, empirical_lr_plus=None, lr_reason="no reason")
+print(emit_report(result) + report_text(result), end="")
+"""
+
+
+def test_emit_refuses_other_objects_before_the_report_modules_load():
+    from screencurve.cohort import CohortResult
+    from screencurve.emit import emit_report, report_text
+
+    result = CohortResult(n=10, seed=3, true_pos=2, false_pos=1, true_neg=6, false_neg=1,
+                          empirical_ppv=2 / 3, empirical_lr_plus=None, lr_reason="no reason")
+    expected = emit_report(result) + report_text(result)
+    assert run_fresh(EMIT_BEFORE_ITS_RECORDS_LOAD) == expected
+    assert run_fresh(EMIT_BEFORE_ITS_RECORDS_LOAD, "analysis") == expected
