@@ -42,10 +42,9 @@ tests of equal epsilon this is the sign rule (epsilon - 1)(b2 - b1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
-from .core import ScreeningTest, _ppv, _require_int, _require_real
+from .core import _NEW_DICT, ScreeningTest, _Record, _ppv, _require_int, _require_real
 from .errors import (
     DegenerateTestError,
     NonConvergenceError,
@@ -176,8 +175,7 @@ def fts_limit_sweep(steps: int) -> list[tuple[float, float]]:
     return rows
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(_Record):
     """All derived quantities for one test.
 
     Fields that are undefined for a degenerate test hold None, with a
@@ -191,19 +189,30 @@ class TestReport:
     beta: BetaGeometry | None
     endpoint_chord: ChordLine | None
     auc: float | None
-    absent_reasons: Mapping[str, str] = field(default_factory=dict)
+    absent_reasons: Mapping[str, str]
+
+    def __init__(self, test: ScreeningTest, epsilon: float, lr_plus: float | None,
+                 threshold: ThresholdPoint | None, beta: BetaGeometry | None,
+                 endpoint_chord: ChordLine | None, auc: float | None,
+                 absent_reasons: Mapping[str, str] = _NEW_DICT) -> None:
+        self.__dict__.update(
+            test=test, epsilon=epsilon, lr_plus=lr_plus, threshold=threshold, beta=beta,
+            endpoint_chord=endpoint_chord, auc=auc,
+            absent_reasons={} if absent_reasons is _NEW_DICT else absent_reasons,
+        )
 
 
-@dataclass(frozen=True)
-class MetricOrdering:
+class MetricOrdering(_Record):
     """Which test wins one metric, with the signed gap (second minus first)."""
 
     winner: Literal["first", "second", "tie"]
     difference: float
 
+    def __init__(self, winner: Literal["first", "second", "tie"], difference: float) -> None:
+        self.__dict__.update(winner=winner, difference=difference)
 
-@dataclass(frozen=True)
-class ComparisonReport:
+
+class ComparisonReport(_Record):
     """Side-by-side comparison of two tests on the same prevalence axis."""
 
     first: TestReport
@@ -213,6 +222,15 @@ class ComparisonReport:
     dominant: Literal["first", "second", "neither"]
     beta_order: MetricOrdering
     auc_order: MetricOrdering
+
+    def __init__(self, first: TestReport, second: TestReport, equal_epsilon: bool,
+                 epsilon_difference: float, dominant: Literal["first", "second", "neither"],
+                 beta_order: MetricOrdering, auc_order: MetricOrdering) -> None:
+        self.__dict__.update(
+            first=first, second=second, equal_epsilon=equal_epsilon,
+            epsilon_difference=epsilon_difference, dominant=dominant,
+            beta_order=beta_order, auc_order=auc_order,
+        )
 
 
 def build_test_report(test: ScreeningTest, strict: bool = True) -> TestReport:

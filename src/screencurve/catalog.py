@@ -10,10 +10,9 @@ Documents are UTF-8 text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import ScreeningTest
+from .core import ScreeningTest, _Record
 from .errors import ParameterError, ParseError
 
 __all__ = ["HEADER", "CatalogEntry", "parse_catalog", "emit_catalog"]
@@ -21,10 +20,14 @@ __all__ = ["HEADER", "CatalogEntry", "parse_catalog", "emit_catalog"]
 HEADER = "name,sensitivity,specificity"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
+    """One named test of a catalog."""
+
     name: str
     test: ScreeningTest
+
+    def __init__(self, name: str, test: ScreeningTest) -> None:
+        self.__dict__.update(name=name, test=test)
 
 
 def _parse_value(field: str, column: str, line_no: int) -> float:

@@ -83,13 +83,19 @@ def _pair(text: str) -> ScreeningTest:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-#: Every option that takes a value.  argparse reads a value such as "-1e-3"
-#: or "-inf" as an option name, so ``_join_negative_values`` joins it to one
-#: of these as "--opt=value" and the option's own type names it.
-_VALUE_OPTIONS = frozenset({
-    "--sens", "--spec", "--prev", "--samples", "--n", "--seed", "--steps",
-    "--test1", "--test2", "--eps-tol", "--out", "--catalog",
-})
+#: Each subcommand's "--" options besides ``--help``: those that take a value,
+#: then its flags.  argparse reads a value such as "-1e-3" or "-inf" as an
+#: option name, so ``_join_negative_values`` joins it to a value option
+#: before it as "--opt=value" and the option's own type names it.
+_OPTIONS = {
+    "analyze": (("--sens", "--spec"), ("--json",)),
+    "curve": (("--sens", "--spec", "--samples", "--out"), ()),
+    "compare": (("--test1", "--test2", "--eps-tol"), ("--json",)),
+    "plot": (("--catalog", "--out", "--samples"), ("--threshold", "--beta", "--chords")),
+    "simulate": (("--sens", "--spec", "--prev", "--n", "--seed"), ("--json",)),
+    "catalog": ((), ("--json",)),
+    "limit-sweep": (("--steps",), ("--json",)),
+}
 
 
 def _is_number(text: str) -> bool:
@@ -100,11 +106,24 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _takes_value(command: str | None, arg: str) -> bool:
+    """Whether ``arg`` names a value option of ``command``, in full or as a unique prefix."""
+    values, flags = _OPTIONS.get(command, ((), ()))
+    if arg in values:
+        return True
+    if len(arg) < 3 or not arg.startswith("--"):  # a bare "--" ends the options
+        return False
+    matches = [name for name in (*values, *flags, "--help") if name.startswith(arg)]
+    return len(matches) == 1 and matches[0] in values
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """``argv`` with each number that starts with "-" joined to the option before it."""
+    """``argv`` with each number that starts with "-" joined to the value option before it."""
+    # No option before the subcommand takes a value, so its first word names it.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in _VALUE_OPTIONS and arg.startswith("-") and _is_number(arg):
+        if joined and arg.startswith("-") and _is_number(arg) and _takes_value(command, joined[-1]):
             joined[-1] = f"{joined[-1]}={arg}"
         else:
             joined.append(arg)

@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ScreeningTest, _require_int, _require_probability
+from .core import ScreeningTest, _Record, _require_int, _require_probability
 from .errors import AbsentEstimateError, ParameterError
 
 __all__ = [
@@ -171,8 +170,7 @@ def _normalize_seed(seed: int) -> int:
     return seed % (1 << 64)
 
 
-@dataclass(frozen=True)
-class CohortResult:
+class CohortResult(_Record):
     """Confusion-matrix counts and empirical estimates for one simulated cohort.
 
     ``empirical_ppv`` is true_pos / (true_pos + false_pos) when at least one
@@ -191,8 +189,17 @@ class CohortResult:
     false_neg: int
     empirical_ppv: float | None
     empirical_lr_plus: float | None
-    ppv_reason: str | None = None
-    lr_reason: str | None = None
+    ppv_reason: str | None
+    lr_reason: str | None
+
+    def __init__(self, n: int, seed: int, true_pos: int, false_pos: int, true_neg: int,
+                 false_neg: int, empirical_ppv: float | None, empirical_lr_plus: float | None,
+                 ppv_reason: str | None = None, lr_reason: str | None = None) -> None:
+        self.__dict__.update(
+            n=n, seed=seed, true_pos=true_pos, false_pos=false_pos, true_neg=true_neg,
+            false_neg=false_neg, empirical_ppv=empirical_ppv,
+            empirical_lr_plus=empirical_lr_plus, ppv_reason=ppv_reason, lr_reason=lr_reason,
+        )
 
     def require_ppv(self) -> float:
         if self.empirical_ppv is None:
@@ -205,14 +212,17 @@ class CohortResult:
         return self.empirical_lr_plus
 
 
-@dataclass(frozen=True)
-class EmpiricalPoint:
+class EmpiricalPoint(_Record):
     """One grid point of an empirical curve; ``ppv`` is None when absent."""
 
     phi: float
     ppv: float | None
     reason: str | None
     cohort: CohortResult
+
+    def __init__(self, phi: float, ppv: float | None, reason: str | None,
+                 cohort: CohortResult) -> None:
+        self.__dict__.update(phi=phi, ppv=ppv, reason=reason, cohort=cohort)
 
     def require(self) -> float:
         if self.ppv is None:

@@ -20,7 +20,7 @@ a > 0 and b < 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .errors import IndeterminateError, ParameterError
 
@@ -66,19 +66,85 @@ def _ppv(a: float, c: float, phi: float) -> float | None:
     return positives / denominator
 
 
-@dataclass(frozen=True)
-class ScreeningTest:
+#: Constructor default of a field that gets a fresh ``{}`` per instance;
+#: ``dataclasses.fields`` shows it as ``default_factory=dict``.
+_NEW_DICT = object()
+
+
+class _DataclassFields:
+    """``__dataclass_fields__`` of one record class, built on first read and cached on it."""
+
+    def __init__(self, record: type) -> None:
+        self.record = record
+
+    def __get__(self, instance, owner):
+        from dataclasses import MISSING, field, make_dataclass
+
+        record = self.record
+        init = record.__init__
+        defaults = dict(zip(reversed(record._fields), reversed(init.__defaults__ or ())))
+        specs = []
+        for name in record._fields:
+            default = defaults.get(name, MISSING)
+            spec = field(default_factory=dict) if default is _NEW_DICT else field(default=default)
+            specs.append((name, record.__annotations__[name], spec))
+        fields = make_dataclass(record.__name__, specs, frozen=True).__dataclass_fields__
+        record.__dataclass_fields__ = fields
+        return fields
+
+
+class _Record:
+    """Base of the package's frozen records, in place of ``@dataclass(frozen=True)``.
+
+    A record declares its fields as annotations, in order, and writes an
+    ``__init__`` that takes them in that order, checks them and stores them
+    in ``self.__dict__``.  Equality, hashing, repr, ``__match_args__`` and
+    ``FrozenInstanceError`` on setting or deleting an attribute are those of
+    a frozen dataclass, and ``dataclasses.fields``, ``replace`` and
+    ``asdict`` work on records.  The package does not import ``dataclasses``
+    (which imports ``inspect``) until a record is introspected that way.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(vars(cls).get("__annotations__", ()))
+        if names:
+            cls._fields = cls.__match_args__ = names
+            cls.__dataclass_fields__ = _DataclassFields(cls)
+            # An attrgetter is no descriptor: ``self._astuple(self)`` is the field tuple.
+            cls._astuple = operator.attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ScreeningTest(_Record):
     """An ideal binary screening test, summarized by sensitivity and specificity."""
 
     sensitivity: float
     specificity: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sensitivity", _require_probability("sensitivity", self.sensitivity)
-        )
-        object.__setattr__(
-            self, "specificity", _require_probability("specificity", self.specificity)
+    def __init__(self, sensitivity: float, specificity: float) -> None:
+        self.__dict__.update(
+            sensitivity=_require_probability("sensitivity", sensitivity),
+            specificity=_require_probability("specificity", specificity),
         )
 
     @property
@@ -94,17 +160,17 @@ class ScreeningTest:
         return f"sensitivity={self.sensitivity:g} specificity={self.specificity:g}"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_Record):
     """One sampled point of the curve.  ``rho`` is None where the value is 0/0."""
 
     phi: float
     rho: float | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", _require_probability("phi", self.phi))
-        if self.rho is not None:
-            object.__setattr__(self, "rho", _require_probability("rho", self.rho))
+    def __init__(self, phi: float, rho: float | None) -> None:
+        self.__dict__.update(
+            phi=_require_probability("phi", phi),
+            rho=None if rho is None else _require_probability("rho", rho),
+        )
 
     @property
     def defined(self) -> bool:
@@ -161,9 +227,8 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
     for k in range(n):
         # k <= n-1 and division rounds monotonically, so 0 <= phi <= 1;
         # _ppv returns None or x/y with 0 <= x <= y, y > 0.  Both are floats
-        # that __post_init__ would return unchanged, so it is skipped.  The
-        # fields are set as the dataclass __init__ sets them, which keeps the
-        # instance layout (and attribute reads) of a validated point.
+        # that the constructor's checks would return unchanged, so they are
+        # skipped.
         phi = k / last
         point = new(CurvePoint)
         set_field(point, "phi", phi)

@@ -101,12 +101,8 @@ _UNDEFINED = "value is undefined here"
 
 
 def _record(value):
-    """A record's declared fields, in order, as a JSON object; other values as they are.
-
-    A dataclass's ``__dataclass_fields__`` is what ``dataclasses.fields``
-    reads; the records here declare no ClassVar or InitVar it would also hold.
-    """
-    names = getattr(value, "_fields", None) or getattr(value, "__dataclass_fields__", None)
+    """A record's declared fields, in order, as a JSON object; other values as they are."""
+    names = getattr(value, "_fields", None)
     return {name: getattr(value, name) for name in names} if names else value
 
 

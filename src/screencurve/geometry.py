@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ScreeningTest, _require_probability
+from .core import ScreeningTest, _Record, _require_probability
 from .errors import (
     DegenerateAngleError,
     DegenerateTestError,
@@ -72,22 +71,20 @@ __all__ = [
 EPSILON_ONE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class ThresholdPoint:
+class ThresholdPoint(_Record):
     """The unit-slope point of the curve, strictly inside the unit square."""
 
     phi_e: float
     rho_e: float
 
-    def __post_init__(self) -> None:
-        for name in ("phi_e", "rho_e"):
-            value = getattr(self, name)
+    def __init__(self, phi_e: float, rho_e: float) -> None:
+        for name, value in (("phi_e", phi_e), ("rho_e", rho_e)):
             if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
                 raise ParameterError(f"{name} must lie in (0, 1), got {value!r}")
+        self.__dict__.update(phi_e=phi_e, rho_e=rho_e)
 
 
-@dataclass(frozen=True)
-class BetaGeometry:
+class BetaGeometry(_Record):
     """Angle geometry of the threshold chords.
 
     ``beta_rad`` is the angle between the vertical and the chord from the
@@ -99,30 +96,30 @@ class BetaGeometry:
     psi: float
     origin_slope: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta_rad < math.pi / 2.0:
-            raise ParameterError(
-                f"beta_rad must lie in (0, pi/2), got {self.beta_rad!r}"
-            )
-        if not self.psi > 0.0 or not self.origin_slope > 0.0:
+    def __init__(self, beta_rad: float, psi: float, origin_slope: float) -> None:
+        if not 0.0 < beta_rad < math.pi / 2.0:
+            raise ParameterError(f"beta_rad must lie in (0, pi/2), got {beta_rad!r}")
+        if not psi > 0.0 or not origin_slope > 0.0:
             raise ParameterError("psi and origin_slope must be positive")
+        self.__dict__.update(beta_rad=beta_rad, psi=psi, origin_slope=origin_slope)
 
 
-@dataclass(frozen=True)
-class ChordPair:
+class ChordPair(_Record):
     """Chord slopes through one interior point of the curve."""
 
     at_phi: float
     slope_origin: float
     slope_endpoint: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.at_phi < 1.0:
-            raise ParameterError(f"at_phi must lie in (0, 1), got {self.at_phi!r}")
-        for name in ("slope_origin", "slope_endpoint"):
-            value = getattr(self, name)
+    def __init__(self, at_phi: float, slope_origin: float, slope_endpoint: float) -> None:
+        if not 0.0 < at_phi < 1.0:
+            raise ParameterError(f"at_phi must lie in (0, 1), got {at_phi!r}")
+        for name, value in (("slope_origin", slope_origin), ("slope_endpoint", slope_endpoint)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{name} must be a positive real, got {value!r}")
+        self.__dict__.update(
+            at_phi=at_phi, slope_origin=slope_origin, slope_endpoint=slope_endpoint
+        )
 
 
 class ChordLine(NamedTuple):

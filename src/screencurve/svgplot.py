@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .analysis import build_test_report
 from .catalog import CatalogEntry
-from .core import _require_int, curve_samples
+from .core import _Record, _require_int, curve_samples
 from .errors import ParameterError
 
 __all__ = ["PALETTE", "PlotSpec", "render_screening_plane"]
@@ -56,27 +55,33 @@ _ARC_RADIUS = 44.0
 _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(_Record):
     """What to draw: named tests, sample count, overlay switches, pixel size."""
 
     entries: tuple[CatalogEntry, ...]
-    samples: int = 257
-    show_threshold: bool = False
-    show_beta: bool = False
-    show_chords: bool = False
-    width_px: int = 640
-    height_px: int = 640
+    samples: int
+    show_threshold: bool
+    show_beta: bool
+    show_chords: bool
+    width_px: int
+    height_px: int
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: tuple[CatalogEntry, ...], samples: int = 257,
+                 show_threshold: bool = False, show_beta: bool = False,
+                 show_chords: bool = False, width_px: int = 640, height_px: int = 640) -> None:
+        if not entries:
             raise ParameterError("a plot needs at least one catalog entry")
-        for entry in self.entries:
+        for entry in entries:
             if re.search(_NOT_XML_CHAR, entry.name):
                 raise ParameterError(f"name {entry.name!r} holds a character XML 1.0 cannot hold")
-        _require_int("samples", self.samples, 2)
-        _require_int("width_px", self.width_px, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40)
-        _require_int("height_px", self.height_px, int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40)
+        _require_int("samples", samples, 2)
+        _require_int("width_px", width_px, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40)
+        _require_int("height_px", height_px, int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40)
+        self.__dict__.update(
+            entries=entries, samples=samples, show_threshold=show_threshold,
+            show_beta=show_beta, show_chords=show_chords, width_px=width_px,
+            height_px=height_px,
+        )
 
 
 def _xml_escape(text: str) -> str:

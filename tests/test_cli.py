@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import screencurve
 from screencurve import CohortResult, ScreeningTest, build_test_report, simulate_cohort
-from screencurve.cli import cli_dispatch
+from screencurve.cli import _OPTIONS, build_parser, cli_dispatch
 from screencurve.emit import emit_report, report_text
 
 from _oracles import PHI_E_9575
@@ -109,6 +109,14 @@ class TestAnalyze:
             (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps-tol", "-inf"],
              "eps_tol must be a finite number >= 0, got -inf"),
             (["limit-sweep", "--steps", "-1e1"], "argument --steps: '-1e1' is not an integer"),
+            # The same after a unique prefix of the option, which argparse accepts.
+            (["analyze", "--sen", "-1e-3", "--spec", "0.5"],
+             "argument --sens: '-1e-3' is not in [0, 1]"),
+            (["analyze", "--sens", "0.5", "--sp", "-inf"], "argument --spec: '-inf' is not in [0, 1]"),
+            (["curve", "--sens", "0.5", "--spec", "0.5", "--sa", "-1e2"],
+             "argument --samples: '-1e2' is not an integer"),
+            (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps", "-inf"],
+             "eps_tol must be a finite number >= 0, got -inf"),
         ],
     )
     def test_malformed_argument_is_usage_error(self, argv, message):
@@ -760,6 +768,46 @@ class TestNegativeLookingValues:
         code, _, err = run(["analyze", "--sens", "0.5", "--spec", "0.5", "--json", "-1e-3"])
         assert code == 2
         assert "unrecognized arguments: -1e-3" in err
+
+    def test_a_negative_seed_after_a_prefix_still_runs(self):
+        argv = ["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--n", "10"]
+        assert run([*argv, "--see", "-1"]) == run([*argv, "--seed", "-1"])
+
+    def test_a_prefix_still_takes_a_plain_value(self):
+        argv = ["analyze", "--sens", "0.9", "--spec", "0.5", "--json"]
+        assert run(["analyze", "--sen", "0.9", "--spe", "0.5", "--js"]) == run(argv)
+
+    @pytest.mark.parametrize(
+        "argv, matches",
+        [
+            (["analyze", "--s", "-1e-3", "--spec", "0.5"], "--s could match --sens, --spec"),
+            (["simulate", "--sens", "0.5", "--spec", "0.5", "--prev", "0.5", "--se", "-1"],
+             "--se could match --sens, --seed"),
+            (["plot", "--c", "-1", "--out", "plot.svg"], "--c could match --catalog, --chords"),
+        ],
+    )
+    def test_an_ambiguous_prefix_is_still_ambiguous(self, argv, matches):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert f"error: ambiguous option: {matches}\n" in err
+
+    def test_a_bare_double_dash_is_no_prefix(self):
+        code, _, err = run(["analyze", "--sens", "0.5", "--spec", "0.5", "--", "-1e-3"])
+        assert code == 2
+        assert "unrecognized arguments: -- -1e-3" in err
+
+    def test_the_option_table_matches_the_parser(self):
+        # argparse keeps each subparser's actions in ``_actions``.
+        subcommands = next(
+            action.choices for action in build_parser()._actions if action.dest == "command"
+        )
+        for name, subparser in subcommands.items():
+            values, flags = set(), set()
+            for action in subparser._actions:
+                names = {option for option in action.option_strings if option.startswith("--")}
+                (values if action.nargs is None else flags).update(names)
+            takes_value, flag = _OPTIONS[name]
+            assert (values, flags) == (set(takes_value), {*flag, "--help"})
 
 
 class TestModuleEntryPoints:
