@@ -744,6 +744,42 @@ class TestDispatchPlumbing:
         assert code == 0
         assert "analyze" in out
 
+    def test_help_and_usage_bytes_are_pinned(self, monkeypatch):
+        # argparse wraps help to the terminal width, and its layout differs
+        # between Python versions; the pin is CPython 3.11's at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        pair = ["--sens", "0.5", "--spec", "0.5"]
+        tests = ["--test1", "0.5,0.5", "--test2", "0.5,0.5"]
+        plot = ["--catalog", "tests.csv", "--out", "plot.svg"]
+        cohort = [*pair, "--prev", "0.5"]
+        runs = [["-h"], ["--help"], ["-h", "analyze"], ["--version"], ["frobnicate"], []]
+        # catalog and limit-sweep have no ambiguous prefix: their last case
+        # gives a unique prefix, then an argument no option takes.
+        for command, missing, bad_type, negative, prefix in [
+            ("analyze", ["--sens", "0.5"], ["--sens", "x", "--spec", "0.5"],
+             ["--sens", "-1e-3", "--spec", "0.5"], ["--s", "0.5"]),
+            ("curve", ["--spec", "0.5"], [*pair, "--samples", "x"],
+             ["--sens", "-1e-3", "--spec", "0.5"], [*pair, "--s", "3"]),
+            ("compare", ["--test1", "0.5,0.5"], [*tests, "--eps-tol", "x"],
+             [*tests, "--eps-tol", "-1e-3"], ["--test", "0.5,0.5"]),
+            ("plot", ["--out", "plot.svg"], [*plot, "--samples", "x"],
+             [*plot, "--samples", "-1e-3"], [*plot, "--c"]),
+            ("simulate", pair, [*cohort, "--n", "x"],
+             ["--sens", "-1e-3", "--spec", "0.5", "--prev", "0.5"], [*cohort, "--se", "1"]),
+            ("catalog", [], ["tests.csv", "--json=x"], ["-1e-3"], ["tests.csv", "--j", "x"]),
+            ("limit-sweep", ["--steps"], ["--steps", "x"], ["--steps", "-1e-3"],
+             ["--st", "1", "--j", "x"]),
+        ]:
+            runs.append([command, "-h"])
+            runs += [[command, *args] for args in (missing, bad_type, negative, prefix)]
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, err = run(argv)
+            digest.update(f"{code}\0{out}\0{err}\0".encode("utf-8"))
+        assert digest.hexdigest() == (
+            "28c3c18ef2bd19720d216d90f7547bdb054b641662bdc3948a926065bd0a9587"
+        )
+
 
 class TestNegativeLookingValues:
     """Values that start with "-" next to the cases the parser must still refuse."""
