@@ -6,6 +6,9 @@ the screening plane), ``simulate`` (synthetic cohort), ``catalog`` (batch
 reports from a CSV catalog), and ``limit-sweep`` (area trajectory as
 sensitivity and specificity approach 1 together).
 
+The table ``_COMMANDS`` is the one place a subcommand or option is declared:
+the parser, the joiner of negative values and dispatch all read it.
+
 Exit codes: 0 on success, 1 when the inputs are valid numbers but the
 requested quantity is undefined for them (degenerate tests) or an output
 file cannot be written, 2 for usage errors (including arguments outside
@@ -54,21 +57,30 @@ def _probability(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
 
 
-def _seed(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+#: The largest ``--samples`` grid.  Each point holds ~300 bytes, so a much larger
+#: grid would exhaust memory instead of exiting.
+_MAX_SAMPLES = 1_000_000
+
+
+def _samples(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"value must be <= {_MAX_SAMPLES}")
+    return value
 
 
 def _pair(text: str) -> ScreeningTest:
@@ -81,106 +93,6 @@ def _pair(text: str) -> ScreeningTest:
         return ScreeningTest(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-#: Each subcommand's "--" options besides ``--help``: those that take a value,
-#: then its flags.  argparse reads a value such as "-1e-3" or "-inf" as an
-#: option name, so ``_join_negative_values`` joins it to a value option
-#: before it as "--opt=value" and the option's own type names it.
-_OPTIONS = {
-    "analyze": (("--sens", "--spec"), ("--json",)),
-    "curve": (("--sens", "--spec", "--samples", "--out"), ()),
-    "compare": (("--test1", "--test2", "--eps-tol"), ("--json",)),
-    "plot": (("--catalog", "--out", "--samples"), ("--threshold", "--beta", "--chords")),
-    "simulate": (("--sens", "--spec", "--prev", "--n", "--seed"), ("--json",)),
-    "catalog": ((), ("--json",)),
-    "limit-sweep": (("--steps",), ("--json",)),
-}
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text.partition(",")[0])
-    except ValueError:
-        return False
-    return True
-
-
-def _takes_value(command: str | None, arg: str) -> bool:
-    """Whether ``arg`` names a value option of ``command``, in full or as a unique prefix."""
-    values, flags = _OPTIONS.get(command, ((), ()))
-    if arg in values:
-        return True
-    if len(arg) < 3 or not arg.startswith("--"):  # a bare "--" ends the options
-        return False
-    matches = [name for name in (*values, *flags, "--help") if name.startswith(arg)]
-    return len(matches) == 1 and matches[0] in values
-
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """``argv`` with each number that starts with "-" joined to the value option before it."""
-    # No option before the subcommand takes a value, so its first word names it.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    joined: list[str] = []
-    for arg in argv:
-        if joined and arg.startswith("-") and _is_number(arg) and _takes_value(command, joined[-1]):
-            joined[-1] = f"{joined[-1]}={arg}"
-        else:
-            joined.append(arg)
-    return joined
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="screencurve",
-        description="Predictive-value geometry of binary screening tests.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="report all derived quantities for one test")
-    analyze.add_argument("--sens", type=_probability, required=True, help="sensitivity in [0, 1]")
-    analyze.add_argument("--spec", type=_probability, required=True, help="specificity in [0, 1]")
-    analyze.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    curve = sub.add_parser("curve", help="sample the predictive-value curve to CSV")
-    curve.add_argument("--sens", type=_probability, required=True)
-    curve.add_argument("--spec", type=_probability, required=True)
-    curve.add_argument("--samples", type=_positive_int, default=101, help="grid size (default 101)")
-    curve.add_argument("--out", help="output path (default: stdout)")
-
-    compare = sub.add_parser("compare", help="order two tests by curve, angle, and area")
-    compare.add_argument("--test1", type=_pair, required=True, metavar="SENS,SPEC")
-    compare.add_argument("--test2", type=_pair, required=True, metavar="SENS,SPEC")
-    compare.add_argument("--eps-tol", type=float, default=1e-9,
-                         help="tolerance for treating the gain indices as equal")
-    compare.add_argument("--json", action="store_true")
-
-    plot = sub.add_parser("plot", help="render curves from a catalog file to SVG")
-    plot.add_argument("--catalog", required=True, help="CSV catalog of named tests")
-    plot.add_argument("--out", required=True, help="SVG output path")
-    plot.add_argument("--samples", type=_positive_int, default=257)
-    plot.add_argument("--threshold", action="store_true", help="mark each prevalence threshold")
-    plot.add_argument("--beta", action="store_true", help="draw each origin-chord angle")
-    plot.add_argument("--chords", action="store_true", help="draw origin and endpoint chords")
-
-    simulate = sub.add_parser("simulate", help="draw a synthetic cohort and report tallies")
-    simulate.add_argument("--sens", type=_probability, required=True)
-    simulate.add_argument("--spec", type=_probability, required=True)
-    simulate.add_argument("--prev", type=_probability, required=True, help="prevalence in [0, 1]")
-    simulate.add_argument("--n", type=_positive_int, default=100000, help="cohort size")
-    simulate.add_argument("--seed", type=_seed, default=0)
-    simulate.add_argument("--json", action="store_true")
-
-    catalog = sub.add_parser("catalog", help="batch-report every test in a catalog file")
-    catalog.add_argument("path", help="CSV catalog of named tests")
-    catalog.add_argument("--json", action="store_true")
-
-    sweep = sub.add_parser("limit-sweep", help="area trajectory as both accuracies approach 1")
-    sweep.add_argument("--steps", type=_positive_int, default=20)
-    sweep.add_argument("--json", action="store_true")
-
-    return parser
 
 
 def _write_text(path: str | None, text: str, out: TextIO) -> None:
@@ -268,15 +180,104 @@ def _run_limit_sweep(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "curve": _run_curve,
-    "compare": _run_compare,
-    "plot": _run_plot,
-    "simulate": _run_simulate,
-    "catalog": _run_catalog,
-    "limit-sweep": _run_limit_sweep,
+#: Each subcommand: its runner, its help line and its arguments in ``--help``
+#: order, each as (name, ``add_argument`` keywords).
+_COMMANDS = {
+    "analyze": (_run_analyze, "report all derived quantities for one test", (
+        ("--sens", dict(type=_probability, required=True, help="sensitivity in [0, 1]")),
+        ("--spec", dict(type=_probability, required=True, help="specificity in [0, 1]")),
+        ("--json", dict(action="store_true", help="emit a JSON report")),
+    )),
+    "curve": (_run_curve, "sample the predictive-value curve to CSV", (
+        ("--sens", dict(type=_probability, required=True)),
+        ("--spec", dict(type=_probability, required=True)),
+        ("--samples", dict(type=_samples, default=101, help="grid size (default 101)")),
+        ("--out", dict(help="output path (default: stdout)")),
+    )),
+    "compare": (_run_compare, "order two tests by curve, angle, and area", (
+        ("--test1", dict(type=_pair, required=True, metavar="SENS,SPEC")),
+        ("--test2", dict(type=_pair, required=True, metavar="SENS,SPEC")),
+        ("--eps-tol", dict(type=float, default=1e-9,
+                           help="tolerance for treating the gain indices as equal")),
+        ("--json", dict(action="store_true")),
+    )),
+    "plot": (_run_plot, "render curves from a catalog file to SVG", (
+        ("--catalog", dict(required=True, help="CSV catalog of named tests")),
+        ("--out", dict(required=True, help="SVG output path")),
+        ("--samples", dict(type=_samples, default=257)),
+        ("--threshold", dict(action="store_true", help="mark each prevalence threshold")),
+        ("--beta", dict(action="store_true", help="draw each origin-chord angle")),
+        ("--chords", dict(action="store_true", help="draw origin and endpoint chords")),
+    )),
+    "simulate": (_run_simulate, "draw a synthetic cohort and report tallies", (
+        ("--sens", dict(type=_probability, required=True)),
+        ("--spec", dict(type=_probability, required=True)),
+        ("--prev", dict(type=_probability, required=True, help="prevalence in [0, 1]")),
+        ("--n", dict(type=_positive_int, default=100000, help="cohort size")),
+        ("--seed", dict(type=_integer, default=0)),
+        ("--json", dict(action="store_true")),
+    )),
+    "catalog": (_run_catalog, "batch-report every test in a catalog file", (
+        ("path", dict(help="CSV catalog of named tests")),
+        ("--json", dict(action="store_true")),
+    )),
+    "limit-sweep": (_run_limit_sweep, "area trajectory as both accuracies approach 1", (
+        ("--steps", dict(type=_positive_int, default=20)),
+        ("--json", dict(action="store_true")),
+    )),
 }
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text.partition(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _takes_value(command: str | None, arg: str) -> bool:
+    """Whether ``arg`` names a value option of ``command``, in full or as a unique prefix."""
+    rows = _COMMANDS[command][2] if command in _COMMANDS else ()
+    values = [name for name, keywords in rows if name.startswith("--") and "action" not in keywords]
+    if arg in values:
+        return True
+    if len(arg) < 3 or not arg.startswith("--"):  # a bare "--" ends the options
+        return False
+    names = [name for name, _ in rows] + ["--help"]
+    matches = [name for name in names if name.startswith(arg)]
+    return len(matches) == 1 and matches[0] in values
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each number that starts with "-" joined to the value option before it.
+
+    argparse reads a value such as "-1e-3" or "-inf" as an option name; joined
+    as "--opt=value", the option's own type names it.
+    """
+    # No option before the subcommand takes a value, so its first word names it.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    joined: list[str] = []
+    for arg in argv:
+        if joined and arg.startswith("-") and _is_number(arg) and _takes_value(command, joined[-1]):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="screencurve",
+        description="Predictive-value geometry of binary screening tests.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, rows) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_line)
+        for name, keywords in rows:
+            subparser.add_argument(name, **keywords)
+    return parser
 
 
 def cli_dispatch(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
@@ -290,7 +291,7 @@ def cli_dispatch(argv: list[str], stdout: TextIO | None = None, stderr: TextIO |
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    runner = _RUNNERS[args.command]
+    runner = _COMMANDS[args.command][0]
     try:
         return runner(args, out)
     except (ParseError, ParameterError, _InputError) as exc:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import screencurve
 from screencurve import CohortResult, ScreeningTest, build_test_report, simulate_cohort
-from screencurve.cli import _OPTIONS, build_parser, cli_dispatch
+from screencurve.cli import build_parser, cli_dispatch
 from screencurve.emit import emit_report, report_text
 
 from _oracles import PHI_E_9575
@@ -44,6 +44,18 @@ def line_value(output, prefix):
         if line.startswith(prefix):
             return line[len(prefix):].strip()
     raise AssertionError(f"no line starting with {prefix!r} in:\n{output}")
+
+
+#: Arguments that satisfy each subcommand's required options and positionals.
+REQUIRED = {
+    "analyze": ["--sens", "0.5", "--spec", "0.5"],
+    "curve": ["--sens", "0.5", "--spec", "0.5"],
+    "compare": ["--test1", "0.5,0.5", "--test2", "0.5,0.5"],
+    "plot": ["--catalog", "tests.csv", "--out", "plot.svg"],
+    "simulate": ["--sens", "0.5", "--spec", "0.5", "--prev", "0.5"],
+    "catalog": ["tests.csv"],
+    "limit-sweep": [],
+}
 
 
 class TestAnalyze:
@@ -117,6 +129,12 @@ class TestAnalyze:
              "argument --samples: '-1e2' is not an integer"),
             (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps", "-inf"],
              "eps_tol must be a finite number >= 0, got -inf"),
+            # --samples past its cap.  It comes first, so without the cap the
+            # missing options are reported before any grid is built.
+            (["curve", "--samples", "1000001"], "argument --samples: value must be <= 1000000"),
+            (["curve", "--samples", "1000000000"], "argument --samples: value must be <= 1000000"),
+            (["plot", "--samples", "1000001"], "argument --samples: value must be <= 1000000"),
+            (["plot", "--samples", "1000000000"], "argument --samples: value must be <= 1000000"),
         ],
     )
     def test_malformed_argument_is_usage_error(self, argv, message):
@@ -144,6 +162,11 @@ class TestCurve:
         code, out, err = run(["curve", "--sens", "0.5", "--spec", "0.5", "--samples", "1"])
         assert code == 2 and out == ""
         assert "n must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("command", ["curve", "plot"])
+    def test_samples_at_the_cap_parse(self, command):
+        args = build_parser().parse_args([command, *REQUIRED[command], "--samples", "1000000"])
+        assert args.samples == 1_000_000
 
     def test_unwritable_output(self, tmp_path):
         argv = [
@@ -583,9 +606,9 @@ HOSTILE = st.one_of(
     ]),
     st.sampled_from(["nan", "0x1p-3", "inf", "-inf", "2", "-1", "", "abc"]),
 )
-# --samples and --n have no upper bound, so a larger draw could build 1e9
-# points; whether such sizes should be a usage error is left open.  Every
-# count drawn here stays at or below 1e4.
+# --samples stops at 1e6, as each curve point costs ~300 bytes.  --n has no
+# upper bound, as the cohort streams in fixed blocks, but a large draw would
+# take seconds.  Every count drawn here stays at or below 1e4.
 COUNTS = st.integers(min_value=1, max_value=10_000).map(str)
 HOSTILE_COUNTS = COUNTS | st.sampled_from(["0", "-1", "nan", "1e3", "\u0663", "54", "x"])
 NAMES = st.sampled_from(["a", "b", "c", "d", "e f", " g ", "\u00fc", "h\u2028i", "j\x85k"])
@@ -748,10 +771,9 @@ class TestDispatchPlumbing:
         # argparse wraps help to the terminal width, and its layout differs
         # between Python versions; the pin is CPython 3.11's at 80 columns.
         monkeypatch.setenv("COLUMNS", "80")
-        pair = ["--sens", "0.5", "--spec", "0.5"]
-        tests = ["--test1", "0.5,0.5", "--test2", "0.5,0.5"]
-        plot = ["--catalog", "tests.csv", "--out", "plot.svg"]
-        cohort = [*pair, "--prev", "0.5"]
+        pair, tests, plot, cohort = (
+            REQUIRED[command] for command in ("curve", "compare", "plot", "simulate")
+        )
         runs = [["-h"], ["--help"], ["-h", "analyze"], ["--version"], ["frobnicate"], []]
         # catalog and limit-sweep have no ambiguous prefix: their last case
         # gives a unique prefix, then an argument no option takes.
@@ -832,18 +854,29 @@ class TestNegativeLookingValues:
         assert code == 2
         assert "unrecognized arguments: -- -1e-3" in err
 
-    def test_the_option_table_matches_the_parser(self):
+    def test_every_value_option_takes_a_value_that_starts_with_a_dash(self):
         # argparse keeps each subparser's actions in ``_actions``.
         subcommands = next(
             action.choices for action in build_parser()._actions if action.dest == "command"
         )
-        for name, subparser in subcommands.items():
-            values, flags = set(), set()
-            for action in subparser._actions:
-                names = {option for option in action.option_strings if option.startswith("--")}
-                (values if action.nargs is None else flags).update(names)
-            takes_value, flag = _OPTIONS[name]
-            assert (values, flags) == (set(takes_value), {*flag, "--help"})
+        assert subcommands.keys() == REQUIRED.keys()
+        for command, subparser in subcommands.items():
+            # Each "--" name and whether it takes a value.
+            options = {name: action.nargs is None for action in subparser._actions
+                       for name in action.option_strings if name.startswith("--")}
+            for name, takes_value in options.items():
+                if name == "--help":  # prints help and exits before any check
+                    continue
+                if not takes_value:
+                    code, out, err = run([command, *REQUIRED[command], name, "-1e-3"])
+                    assert code == 2 and out == ""
+                    assert "unrecognized arguments: -1e-3" in err, (command, name)
+                    continue
+                prefixes = [name[:k] for k in range(3, len(name))
+                            if sum(other.startswith(name[:k]) for other in options) == 1]
+                values = ["-1e-3", "-inf", "-1,0.5"]
+                for prefix, value in itertools.product([*prefixes, name], values):
+                    assert run([command, prefix, value]) == run([command, f"{name}={value}"])
 
 
 class TestModuleEntryPoints:
