@@ -189,17 +189,7 @@ class TestReport(_Record):
     beta: BetaGeometry | None
     endpoint_chord: ChordLine | None
     auc: float | None
-    absent_reasons: Mapping[str, str]
-
-    def __init__(self, test: ScreeningTest, epsilon: float, lr_plus: float | None,
-                 threshold: ThresholdPoint | None, beta: BetaGeometry | None,
-                 endpoint_chord: ChordLine | None, auc: float | None,
-                 absent_reasons: Mapping[str, str] = _NEW_DICT) -> None:
-        self.__dict__.update(
-            test=test, epsilon=epsilon, lr_plus=lr_plus, threshold=threshold, beta=beta,
-            endpoint_chord=endpoint_chord, auc=auc,
-            absent_reasons={} if absent_reasons is _NEW_DICT else absent_reasons,
-        )
+    absent_reasons: Mapping[str, str] = _NEW_DICT
 
 
 class MetricOrdering(_Record):
@@ -207,9 +197,6 @@ class MetricOrdering(_Record):
 
     winner: Literal["first", "second", "tie"]
     difference: float
-
-    def __init__(self, winner: Literal["first", "second", "tie"], difference: float) -> None:
-        self.__dict__.update(winner=winner, difference=difference)
 
 
 class ComparisonReport(_Record):
@@ -222,15 +209,6 @@ class ComparisonReport(_Record):
     dominant: Literal["first", "second", "neither"]
     beta_order: MetricOrdering
     auc_order: MetricOrdering
-
-    def __init__(self, first: TestReport, second: TestReport, equal_epsilon: bool,
-                 epsilon_difference: float, dominant: Literal["first", "second", "neither"],
-                 beta_order: MetricOrdering, auc_order: MetricOrdering) -> None:
-        self.__dict__.update(
-            first=first, second=second, equal_epsilon=equal_epsilon,
-            epsilon_difference=epsilon_difference, dominant=dominant,
-            beta_order=beta_order, auc_order=auc_order,
-        )
 
 
 def build_test_report(test: ScreeningTest, strict: bool = True) -> TestReport:

@@ -26,9 +26,6 @@ class CatalogEntry(_Record):
     name: str
     test: ScreeningTest
 
-    def __init__(self, name: str, test: ScreeningTest) -> None:
-        self.__dict__.update(name=name, test=test)
-
 
 def _parse_value(field: str, column: str, line_no: int) -> float:
     try:

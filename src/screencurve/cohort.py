@@ -189,17 +189,8 @@ class CohortResult(_Record):
     false_neg: int
     empirical_ppv: float | None
     empirical_lr_plus: float | None
-    ppv_reason: str | None
-    lr_reason: str | None
-
-    def __init__(self, n: int, seed: int, true_pos: int, false_pos: int, true_neg: int,
-                 false_neg: int, empirical_ppv: float | None, empirical_lr_plus: float | None,
-                 ppv_reason: str | None = None, lr_reason: str | None = None) -> None:
-        self.__dict__.update(
-            n=n, seed=seed, true_pos=true_pos, false_pos=false_pos, true_neg=true_neg,
-            false_neg=false_neg, empirical_ppv=empirical_ppv,
-            empirical_lr_plus=empirical_lr_plus, ppv_reason=ppv_reason, lr_reason=lr_reason,
-        )
+    ppv_reason: str | None = None
+    lr_reason: str | None = None
 
     def require_ppv(self) -> float:
         if self.empirical_ppv is None:
@@ -219,10 +210,6 @@ class EmpiricalPoint(_Record):
     ppv: float | None
     reason: str | None
     cohort: CohortResult
-
-    def __init__(self, phi: float, ppv: float | None, reason: str | None,
-                 cohort: CohortResult) -> None:
-        self.__dict__.update(phi=phi, ppv=ppv, reason=reason, cohort=cohort)
 
     def require(self) -> float:
         if self.ppv is None:

@@ -66,7 +66,7 @@ def _ppv(a: float, c: float, phi: float) -> float | None:
     return positives / denominator
 
 
-#: Constructor default of a field that gets a fresh ``{}`` per instance;
+#: Declared default of a field that gets a fresh ``{}`` per instance;
 #: ``dataclasses.fields`` shows it as ``default_factory=dict``.
 _NEW_DICT = object()
 
@@ -74,18 +74,17 @@ _NEW_DICT = object()
 class _DataclassFields:
     """``__dataclass_fields__`` of one record class, built on first read and cached on it."""
 
-    def __init__(self, record: type) -> None:
+    def __init__(self, record: type, defaults: dict) -> None:
         self.record = record
+        self.defaults = defaults
 
     def __get__(self, instance, owner):
         from dataclasses import MISSING, field, make_dataclass
 
         record = self.record
-        init = record.__init__
-        defaults = dict(zip(reversed(record._fields), reversed(init.__defaults__ or ())))
         specs = []
         for name in record._fields:
-            default = defaults.get(name, MISSING)
+            default = self.defaults.get(name, MISSING)
             spec = field(default_factory=dict) if default is _NEW_DICT else field(default=default)
             specs.append((name, record.__annotations__[name], spec))
         fields = make_dataclass(record.__name__, specs, frozen=True).__dataclass_fields__
@@ -93,26 +92,55 @@ class _DataclassFields:
         return fields
 
 
+def _compile_init(record: type, names: tuple[str, ...], defaults: dict):
+    """``record.__init__``: take ``names`` in order, pass each through ``_check`` if any, store."""
+    check = getattr(record, "_check", None)
+    params = [f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names]
+    values = [f"{name}=_check({name!r}, {name})" if check else f"{name}={name}" for name in names]
+    for k, name in enumerate(names):
+        if defaults.get(name) is _NEW_DICT:
+            values[k] = f"{name}={{}} if {name} is _NEW_DICT else {name}"
+    source = (f"def __init__(self, {', '.join(params)}):\n"
+              f"    self.__dict__.update({', '.join(values)})\n")
+    namespace = {"__name__": record.__module__, "_check": check, "_defaults": defaults,
+                 "_NEW_DICT": _NEW_DICT}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{record.__qualname__}.__init__"
+    return init
+
+
 class _Record:
     """Base of the package's frozen records, in place of ``@dataclass(frozen=True)``.
 
-    A record declares its fields as annotations, in order, and writes an
-    ``__init__`` that takes them in that order, checks them and stores them
-    in ``self.__dict__``.  Equality, hashing, repr, ``__match_args__`` and
-    ``FrozenInstanceError`` on setting or deleting an attribute are those of
-    a frozen dataclass, and ``dataclasses.fields``, ``replace`` and
-    ``asdict`` work on records.  The package does not import ``dataclasses``
-    (which imports ``inspect``) until a record is introspected that way.
+    A record declares each field once, as an annotation, in order.  A default
+    is written on the same line (``samples: int = 257``) and stays a class
+    attribute, as in a dataclass; ``_NEW_DICT`` instead gives each instance
+    a fresh ``{}`` and leaves no class attribute.  ``__init_subclass__``
+    compiles the record's ``__init__`` from these declarations: it takes the
+    fields in order and stores them in ``self.__dict__``.  A record that
+    checks its fields defines one hook, ``_check(name, value) -> value``,
+    which the constructor calls on each argument in field order, storing what
+    it returns; a record without one stores its arguments as given.
+    Equality, hashing, repr, ``__match_args__`` and ``FrozenInstanceError``
+    on setting or deleting an attribute are those of a frozen dataclass, and
+    ``dataclasses.fields``, ``replace`` and ``asdict`` work on records.  The
+    package does not import ``dataclasses`` (which imports ``inspect``) until
+    a record is introspected that way.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         names = tuple(vars(cls).get("__annotations__", ()))
         if names:
+            defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+            for name in [name for name in defaults if defaults[name] is _NEW_DICT]:
+                delattr(cls, name)
             cls._fields = cls.__match_args__ = names
-            cls.__dataclass_fields__ = _DataclassFields(cls)
+            cls.__dataclass_fields__ = _DataclassFields(cls, defaults)
             # An attrgetter is no descriptor: ``self._astuple(self)`` is the field tuple.
             cls._astuple = operator.attrgetter(*names)
+            cls.__init__ = _compile_init(cls, names, defaults)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -141,11 +169,7 @@ class ScreeningTest(_Record):
     sensitivity: float
     specificity: float
 
-    def __init__(self, sensitivity: float, specificity: float) -> None:
-        self.__dict__.update(
-            sensitivity=_require_probability("sensitivity", sensitivity),
-            specificity=_require_probability("specificity", specificity),
-        )
+    _check = staticmethod(_require_probability)
 
     @property
     def epsilon(self) -> float:
@@ -166,11 +190,9 @@ class CurvePoint(_Record):
     phi: float
     rho: float | None
 
-    def __init__(self, phi: float, rho: float | None) -> None:
-        self.__dict__.update(
-            phi=_require_probability("phi", phi),
-            rho=None if rho is None else _require_probability("rho", rho),
-        )
+    @staticmethod
+    def _check(name: str, value: float | None) -> float | None:
+        return None if value is None and name == "rho" else _require_probability(name, value)
 
     @property
     def defined(self) -> bool:

@@ -71,17 +71,28 @@ __all__ = [
 EPSILON_ONE_TOLERANCE = 1e-12
 
 
+def _open_range(default: float = math.inf, **uppers: float):
+    """A record's ``_check`` hook: each field is a real number in (0, upper).
+
+    ``uppers`` maps a field name to its upper end; every other field's is ``default``.
+    """
+
+    def check(name: str, value: float) -> float:
+        upper = uppers.get(name, default)
+        if type(value) is bool or not (isinstance(value, (int, float)) and 0.0 < value < upper):
+            raise ParameterError(f"{name} must lie in (0, {upper:g}), got {value!r}")
+        return value
+
+    return staticmethod(check)
+
+
 class ThresholdPoint(_Record):
     """The unit-slope point of the curve, strictly inside the unit square."""
 
     phi_e: float
     rho_e: float
 
-    def __init__(self, phi_e: float, rho_e: float) -> None:
-        for name, value in (("phi_e", phi_e), ("rho_e", rho_e)):
-            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
-                raise ParameterError(f"{name} must lie in (0, 1), got {value!r}")
-        self.__dict__.update(phi_e=phi_e, rho_e=rho_e)
+    _check = _open_range(1.0)
 
 
 class BetaGeometry(_Record):
@@ -96,12 +107,7 @@ class BetaGeometry(_Record):
     psi: float
     origin_slope: float
 
-    def __init__(self, beta_rad: float, psi: float, origin_slope: float) -> None:
-        if not 0.0 < beta_rad < math.pi / 2.0:
-            raise ParameterError(f"beta_rad must lie in (0, pi/2), got {beta_rad!r}")
-        if not psi > 0.0 or not origin_slope > 0.0:
-            raise ParameterError("psi and origin_slope must be positive")
-        self.__dict__.update(beta_rad=beta_rad, psi=psi, origin_slope=origin_slope)
+    _check = _open_range(beta_rad=math.pi / 2.0)
 
 
 class ChordPair(_Record):
@@ -111,15 +117,7 @@ class ChordPair(_Record):
     slope_origin: float
     slope_endpoint: float
 
-    def __init__(self, at_phi: float, slope_origin: float, slope_endpoint: float) -> None:
-        if not 0.0 < at_phi < 1.0:
-            raise ParameterError(f"at_phi must lie in (0, 1), got {at_phi!r}")
-        for name, value in (("slope_origin", slope_origin), ("slope_endpoint", slope_endpoint)):
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be a positive real, got {value!r}")
-        self.__dict__.update(
-            at_phi=at_phi, slope_origin=slope_origin, slope_endpoint=slope_endpoint
-        )
+    _check = _open_range(at_phi=1.0)
 
 
 class ChordLine(NamedTuple):

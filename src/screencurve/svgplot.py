@@ -54,34 +54,32 @@ _ARC_RADIUS = 44.0
 #: regex, so that importing the module compiles nothing.
 _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
+#: The least value of each integer field of a ``PlotSpec``.
+_MINIMUM = {"samples": 2, "width_px": int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40,
+            "height_px": int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40}
+
 
 class PlotSpec(_Record):
     """What to draw: named tests, sample count, overlay switches, pixel size."""
 
     entries: tuple[CatalogEntry, ...]
-    samples: int
-    show_threshold: bool
-    show_beta: bool
-    show_chords: bool
-    width_px: int
-    height_px: int
+    samples: int = 257
+    show_threshold: bool = False
+    show_beta: bool = False
+    show_chords: bool = False
+    width_px: int = 640
+    height_px: int = 640
 
-    def __init__(self, entries: tuple[CatalogEntry, ...], samples: int = 257,
-                 show_threshold: bool = False, show_beta: bool = False,
-                 show_chords: bool = False, width_px: int = 640, height_px: int = 640) -> None:
-        if not entries:
+    @staticmethod
+    def _check(name: str, value):
+        if name != "entries":
+            return _require_int(name, value, _MINIMUM[name]) if name in _MINIMUM else value
+        if not value:
             raise ParameterError("a plot needs at least one catalog entry")
-        for entry in entries:
+        for entry in value:
             if re.search(_NOT_XML_CHAR, entry.name):
                 raise ParameterError(f"name {entry.name!r} holds a character XML 1.0 cannot hold")
-        _require_int("samples", samples, 2)
-        _require_int("width_px", width_px, int(_MARGIN_LEFT + _MARGIN_RIGHT) + 40)
-        _require_int("height_px", height_px, int(_MARGIN_TOP + _MARGIN_BOTTOM) + 40)
-        self.__dict__.update(
-            entries=entries, samples=samples, show_threshold=show_threshold,
-            show_beta=show_beta, show_chords=show_chords, width_px=width_px,
-            height_px=height_px,
-        )
+        return value
 
 
 def _xml_escape(text: str) -> str:

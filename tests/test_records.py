@@ -140,10 +140,13 @@ def test_fields_are_the_references(record):
 
 
 def test_defaults_are_the_references(record):
-    cls, reference, _, args, _ = record
+    cls, reference, names, args, _ = record
     required = len([f for f in dataclasses.fields(reference)
                     if f.default is MISSING and f.default_factory is MISSING])
     assert repr(cls(*args[:required])) == repr(reference(*args[:required]))
+    # A default is a class attribute; a default_factory field leaves none.
+    for name in names:
+        assert getattr(cls, name, MISSING) == getattr(reference, name, MISSING), name
 
 
 def test_fields_can_be_neither_set_nor_deleted(record):

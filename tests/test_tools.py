@@ -1,0 +1,53 @@
+"""``tools/loc.py``, which prints the size of each module of the package."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "screencurve"
+
+
+@pytest.fixture(scope="module")
+def loc():
+    spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_row_per_module_and_a_total_of_the_columns(loc, capsys):
+    assert loc.main([str(PACKAGE)]) == 0
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "raw", "code"]
+    table = {name: (int(raw), int(code)) for name, raw, code in map(str.split, rows)}
+    assert sorted(table) == sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert len(table) == len(rows)
+    for name, (raw, code) in table.items():
+        source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+        assert raw == len(source.splitlines())
+        assert 0 < code < raw
+    label, raw_total, code_total = total.split()
+    assert label == "total"
+    assert int(raw_total) == sum(raw for raw, _ in table.values())
+    assert int(code_total) == sum(code for _, code in table.values())
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(loc):
+    source = '''"""Module docstring,
+over two lines."""
+
+# A comment.
+x = 1  # code with a comment
+
+
+def f():
+    """Function docstring."""
+    text = """a multi-line string
+that is not a docstring
+"""
+    return text
+'''
+    # x = 1, def f(), the three lines of text = ..., return text.
+    assert loc.code_lines(source) == 6
