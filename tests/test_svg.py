@@ -77,6 +77,36 @@ class TestDocumentShape:
             "dcc6a55318827ca3462e48688ba01c8f1d9cf8fa61d82a85e86c567417b55ec9"
         )
 
+    def test_other_sizes_are_pinned(self):
+        # The smallest plot and a wide one, with and without every overlay:
+        # every width- and height-derived coordinate differs from 640x640.
+        # One name holds all four characters that markup escapes.
+        rows = [
+            ("healthy", 0.95, 0.75),
+            ('a<b>&"c', 0.75, 0.95),
+            ("blind", 0.0, 0.5),
+            ("void", 0.0, 1.0),
+            ("steep", 2e-32, 0.0),
+        ]
+        entries = tuple(CatalogEntry(name, ScreeningTest(a, b)) for name, a, b in rows)
+        digest = hashlib.sha256()
+        for width, height in ((122, 108), (800, 500)):
+            for samples in (2, 257):
+                for overlays in (False, True):
+                    spec = PlotSpec(
+                        entries=entries,
+                        samples=samples,
+                        show_threshold=overlays,
+                        show_beta=overlays,
+                        show_chords=overlays,
+                        width_px=width,
+                        height_px=height,
+                    )
+                    digest.update(render_screening_plane(spec).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "d45f5c60870a8a48d5278c931f271f61c2eec3e9e90140793ef15e843e337b84"
+        )
+
     def test_custom_size(self):
         text = render(width_px=800, height_px=500)
         assert 'viewBox="0 0 800 500"' in text
