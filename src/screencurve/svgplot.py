@@ -7,6 +7,12 @@ order, fixed 2-decimal pixel formatting, a fixed color palette keyed by
 entry order, and no timestamps or external references, so identical specs
 produce byte-identical documents.
 
+The repeated element kinds are each written once: ``_line`` and ``_text`` own
+their markup and the 2-decimal pixel format, and every draw site passes only
+its class, colour and coordinates.  Names are escaped for both attributes
+and text, tab, LF and CR included, so each reads back from the document as
+given.
+
 Optional per-test overlays, drawn from the test's ``build_test_report``:
 
 * threshold: vertical line at phi_e with dashed guides to the axes;
@@ -83,11 +89,16 @@ class PlotSpec(_Record):
 
 
 def _xml_escape(text: str) -> str:
+    # Tab, LF and CR as references: a parser turns them into spaces in an
+    # attribute, and CR into LF in text, so the name would not read back.
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
     )
 
 
@@ -95,6 +106,16 @@ def _comment_safe(text: str) -> str:
     while "--" in text:
         text = text.replace("--", "-")
     return text
+
+
+def _line(head: str, x1: float, y1: float, x2: float, y2: float, tail: str = "") -> str:
+    """A ``<line>``: ``head`` and ``tail`` are the attributes before and after the points."""
+    return f'<line {head}x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"{tail}/>'
+
+
+def _text(head: str, x: float, y: float, text: str, tail: str = "") -> str:
+    """A ``<text>`` holding ``text`` (already escaped), attributes as for ``_line``."""
+    return f'<text {head}x="{x:.2f}" y="{y:.2f}"{tail}>{text}</text>'
 
 
 def render_screening_plane(spec: PlotSpec) -> str:
@@ -108,62 +129,34 @@ def render_screening_plane(spec: PlotSpec) -> str:
     def y(rho: float) -> float:
         return _MARGIN_TOP + (1.0 - rho) * plot_h
 
-    def px(value: float) -> str:
-        return f"{value:.2f}"
-
+    ticks = [k / 5.0 for k in range(6)]
+    ox, oy = x(0.0), y(0.0)
     warnings: list[str] = []
-    body: list[str] = []
-
-    body.append(
-        f'<rect x="0" y="0" width="{spec.width_px}" height="{spec.height_px}" '
-        'fill="#ffffff"/>'
-    )
-
-    # Grid, frame, ticks.
-    body.append('<g class="grid" stroke="#dddddd" stroke-width="1">')
-    for k in range(1, 5):
-        t = k / 5.0
-        body.append(
-            f'<line x1="{px(x(t))}" y1="{px(y(0.0))}" x2="{px(x(t))}" y2="{px(y(1.0))}"/>'
-        )
-        body.append(
-            f'<line x1="{px(x(0.0))}" y1="{px(y(t))}" x2="{px(x(1.0))}" y2="{px(y(t))}"/>'
-        )
-    body.append("</g>")
-    body.append(
-        f'<rect class="frame" x="{px(x(0.0))}" y="{px(y(1.0))}" '
-        f'width="{px(plot_w)}" height="{px(plot_h)}" fill="none" '
-        'stroke="#333333" stroke-width="1"/>'
-    )
-    body.append('<g class="ticks" font-family="sans-serif" font-size="12" fill="#333333">')
-    for k in range(6):
-        t = k / 5.0
-        body.append(
-            f'<text x="{px(x(t))}" y="{px(y(0.0) + 16.0)}" text-anchor="middle">{t:.1f}</text>'
-        )
-        body.append(
-            f'<text x="{px(x(0.0) - 8.0)}" y="{px(y(t) + 4.0)}" text-anchor="end">{t:.1f}</text>'
-        )
-    body.append("</g>")
-    body.append('<g class="axis-labels" font-family="sans-serif" font-size="14" fill="#000000">')
-    body.append(
-        f'<text x="{px(x(0.5))}" y="{px(spec.height_px - 10.0)}" text-anchor="middle">'
-        "prevalence φ</text>"
-    )
-    label_x = 16.0
-    label_y = y(0.5)
-    body.append(
-        f'<text x="{px(label_x)}" y="{px(label_y)}" text-anchor="middle" '
-        f'transform="rotate(-90 {px(label_x)} {px(label_y)})">'
-        "positive predictive value ρ(φ)</text>"
-    )
-    body.append("</g>")
+    body = [
+        f'<rect x="0" y="0" width="{spec.width_px}" height="{spec.height_px}" fill="#ffffff"/>',
+        '<g class="grid" stroke="#dddddd" stroke-width="1">',
+        *(line for t in ticks[1:5]
+          for line in (_line("", x(t), oy, x(t), y(1.0)), _line("", ox, y(t), x(1.0), y(t)))),
+        "</g>",
+        f'<rect class="frame" x="{ox:.2f}" y="{y(1.0):.2f}" width="{plot_w:.2f}" '
+        f'height="{plot_h:.2f}" fill="none" stroke="#333333" stroke-width="1"/>',
+        '<g class="ticks" font-family="sans-serif" font-size="12" fill="#333333">',
+        *(text for t in ticks
+          for text in (_text("", x(t), oy + 16.0, f"{t:.1f}", ' text-anchor="middle"'),
+                       _text("", ox - 8.0, y(t) + 4.0, f"{t:.1f}", ' text-anchor="end"'))),
+        "</g>",
+        '<g class="axis-labels" font-family="sans-serif" font-size="14" fill="#000000">',
+        _text("", x(0.5), spec.height_px - 10.0, "prevalence φ", ' text-anchor="middle"'),
+        _text("", 16.0, y(0.5), "positive predictive value ρ(φ)",
+              f' text-anchor="middle" transform="rotate(-90 16.00 {y(0.5):.2f})"'),
+        "</g>",
+    ]
 
     # Curves.
     body.append('<g class="curves" fill="none" stroke-width="1.5">')
     for i, entry in enumerate(spec.entries):
         # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
-        # px(x(phi)) and px(y(rho)) inlined: the same expressions and bytes.
+        # x(phi) and y(rho) inlined: the same expressions and bytes.
         points = [
             f"{_MARGIN_LEFT + point.phi * plot_w:.2f},"
             f"{_MARGIN_TOP + (1.0 - point.rho) * plot_h:.2f}"
@@ -181,7 +174,6 @@ def render_screening_plane(spec: PlotSpec) -> str:
     # Overlays, per entry, fixed order: threshold, chords, beta.
     body.append('<g class="overlays" font-family="sans-serif" font-size="13">')
     overlaid = spec.show_threshold or spec.show_chords or spec.show_beta
-    ox, oy = x(0.0), y(0.0)
     for i, entry in enumerate(spec.entries if overlaid else ()):
         color = PALETTE[i % len(PALETTE)]
         report = build_test_report(entry.test, strict=False)
@@ -201,67 +193,46 @@ def render_screening_plane(spec: PlotSpec) -> str:
         if point is None:
             continue
         tx, ty = x(point.phi_e), y(point.rho_e)
-        origin_chord = (
-            f'<line class="origin-chord" stroke="{color}" stroke-width="1" '
-            f'x1="{px(ox)}" y1="{px(oy)}" x2="{px(tx)}" y2="{px(ty)}"/>'
-        )
+        dashed = f'stroke="{color}" stroke-dasharray="5 3" '
+        solid = f'stroke="{color}" stroke-width="1" '
         if spec.show_threshold:
-            body.append(
-                f'<line class="threshold" stroke="{color}" stroke-dasharray="5 3" '
-                f'x1="{px(tx)}" y1="{px(oy)}" x2="{px(tx)}" y2="{px(ty)}"/>'
-            )
-            body.append(
-                f'<line class="threshold-guide" stroke="{color}" stroke-dasharray="5 3" '
-                f'x1="{px(ox)}" y1="{px(ty)}" x2="{px(tx)}" y2="{px(ty)}"/>'
-            )
-            body.append(
-                f'<text class="threshold-label" fill="{color}" '
-                f'x="{px(tx + 4.0)}" y="{px(oy - 6.0)}">φ_e</text>'
-            )
+            body += [
+                _line(f'class="threshold" {dashed}', tx, oy, tx, ty),
+                _line(f'class="threshold-guide" {dashed}', ox, ty, tx, ty),
+                _text(f'class="threshold-label" fill="{color}" ', tx + 4.0, oy - 6.0, "φ_e"),
+            ]
+        beta = spec.show_beta and report.beta is not None
+        if spec.show_chords or beta:
+            body.append(_line(f'class="origin-chord" {solid}', ox, oy, tx, ty))
         if spec.show_chords:
-            body.append(origin_chord)
-            body.append(
-                f'<line class="endpoint-chord" stroke="{color}" stroke-width="1" '
-                f'x1="{px(tx)}" y1="{px(ty)}" x2="{px(x(1.0))}" y2="{px(y(1.0))}"/>'
-            )
-        if not spec.show_beta or report.beta is None:
+            body.append(_line(f'class="endpoint-chord" {solid}', tx, ty, x(1.0), y(1.0)))
+        if not beta:
             continue
-        if not spec.show_chords:
-            body.append(origin_chord)
         # Angle arc at the origin, from the chord direction up to the
         # vertical axis, drawn in pixel space.
         dx, dy = tx - ox, ty - oy
         norm = math.hypot(dx, dy)
         sx = ox + _ARC_RADIUS * dx / norm
         sy = oy + _ARC_RADIUS * dy / norm
-        body.append(
-            f'<path class="beta-arc" fill="none" stroke="{color}" '
-            f'stroke-width="1" d="M {px(sx)} {px(sy)} '
-            f'A {px(_ARC_RADIUS)} {px(_ARC_RADIUS)} 0 0 0 {px(ox)} {px(oy - _ARC_RADIUS)}"/>'
-        )
+        body.append(f'<path class="beta-arc" fill="none" {solid}d="M {sx:.2f} {sy:.2f} A '
+                    f'{_ARC_RADIUS:.2f} {_ARC_RADIUS:.2f} 0 0 0 {ox:.2f} {oy - _ARC_RADIUS:.2f}"/>')
         mid_angle = 0.5 * (math.atan2(dy, dx) - math.pi / 2.0)
         lx = ox + (_ARC_RADIUS + 14.0) * math.cos(mid_angle)
         ly = oy + (_ARC_RADIUS + 14.0) * math.sin(mid_angle)
-        body.append(
-            f'<text class="beta-label" fill="{color}" text-anchor="middle" '
-            f'x="{px(lx)}" y="{px(ly + 4.0)}">β</text>'
-        )
+        body.append(_text(f'class="beta-label" fill="{color}" text-anchor="middle" ',
+                          lx, ly + 4.0, "β"))
     body.append("</g>")
 
     # Legend, entry order, top-left corner of the plot box.
     body.append('<g class="legend" font-family="sans-serif" font-size="13">')
+    lx = _MARGIN_LEFT + 12.0
     for i, entry in enumerate(spec.entries):
-        color = PALETTE[i % len(PALETTE)]
         ly = _MARGIN_TOP + 16.0 + 18.0 * i
-        lx = _MARGIN_LEFT + 12.0
-        body.append(
-            f'<line x1="{px(lx)}" y1="{px(ly - 4.0)}" x2="{px(lx + 24.0)}" '
-            f'y2="{px(ly - 4.0)}" stroke="{color}" stroke-width="2"/>'
-        )
-        body.append(
-            f'<text x="{px(lx + 30.0)}" y="{px(ly)}" fill="#000000">'
-            f"{_xml_escape(entry.name)}</text>"
-        )
+        body += [
+            _line("", lx, ly - 4.0, lx + 24.0, ly - 4.0,
+                  f' stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="2"'),
+            _text("", lx + 30.0, ly, _xml_escape(entry.name), ' fill="#000000"'),
+        ]
     body.append("</g>")
 
     document = [

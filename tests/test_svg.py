@@ -2,15 +2,19 @@
 
 import hashlib
 import itertools
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screencurve import (
     CatalogEntry,
     ParameterError,
     PlotSpec,
     ScreeningTest,
+    curve_samples,
     render_screening_plane,
 )
 
@@ -20,6 +24,7 @@ ANCHOR_ENTRY = CatalogEntry("anchor", ScreeningTest(0.95, 0.75))
 MIRROR_ENTRY = CatalogEntry("mirror", ScreeningTest(0.75, 0.95))
 BROKEN_ENTRY = CatalogEntry("broken", ScreeningTest(0.0, 0.5))
 VOID_ENTRY = CatalogEntry("void", ScreeningTest(0.0, 1.0))
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def render(**kwargs) -> str:
@@ -162,6 +167,14 @@ class TestCurves:
         entry = CatalogEntry("a\tb \U0001F600 \u00e9", ScreeningTest(0.5, 0.5))
         ET.fromstring(render(entries=(entry,)))
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "\r\n\t "])
+    def test_whitespace_in_names_reads_back(self, name):
+        # A parser turns a tab, LF or CR in an attribute into a space, and a
+        # CR in text into LF, unless the document writes them as references.
+        root = ET.fromstring(render(entries=(CatalogEntry(name, ScreeningTest(0.5, 0.5)),)))
+        assert root.find(f".//{SVG}polyline").get("data-name") == name
+        assert root.find(f".//{SVG}g[@class='legend']/{SVG}text").text == name
+
 
 class TestOverlays:
     def test_absent_by_default(self):
@@ -226,3 +239,71 @@ class TestAxesAndLegend:
     def test_legend_lists_entries_in_order(self):
         text = render()
         assert text.index(">anchor</text>") < text.index(">mirror</text>")
+
+
+#: Every character XML 1.0 can hold: no C0 control but tab, LF and CR, no
+#: surrogate, no U+FFFE or U+FFFF.
+XML_CHARS = st.characters(
+    exclude_categories=("Cs",),
+    exclude_characters=[chr(c) for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20))]
+    + ["\ufffe", "\uffff"],
+)
+ACCURACIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+PIXEL = re.compile(r"-?\d+\.\d\d")
+
+
+@st.composite
+def plot_specs(draw):
+    entries = draw(st.lists(
+        st.builds(CatalogEntry, st.text(XML_CHARS, max_size=12),
+                  st.builds(ScreeningTest, ACCURACIES, ACCURACIES)),
+        min_size=1, max_size=4,
+    ))
+    return PlotSpec(
+        entries=tuple(entries),
+        samples=draw(st.integers(2, 64)),
+        show_threshold=draw(st.booleans()),
+        show_beta=draw(st.booleans()),
+        show_chords=draw(st.booleans()),
+        width_px=draw(st.integers(122, 2000)),
+        height_px=draw(st.integers(108, 2000)),
+    )
+
+
+@settings(deadline=None)
+@given(plot_specs())
+def test_any_spec_renders_a_document_that_reads_back(spec):
+    root = ET.fromstring(render_screening_plane(spec))
+    names = [entry.name for entry in spec.entries]
+    legend = root.findall(f".//{SVG}g[@class='legend']/{SVG}text")
+    assert [text.text or "" for text in legend] == names
+
+    # One curve per entry with two defined samples, through all of them.
+    curves = root.findall(f".//{SVG}polyline")
+    defined = [
+        [point for point in curve_samples(entry.test, spec.samples) if point.rho is not None]
+        for entry in spec.entries
+    ]
+    drawn = [i for i, points in enumerate(defined) if len(points) >= 2]
+    assert [curve.get("id") for curve in curves] == [f"curve-{i}" for i in drawn]
+    assert [curve.get("data-name") for curve in curves] == [names[i] for i in drawn]
+    # Only the (0, 1) test has no curve, once a grid has an inner sample and
+    # the sensitivity is too large for a * phi to underflow.
+    for i, entry in enumerate(spec.entries):
+        a, b = entry.test.sensitivity, entry.test.specificity
+        if spec.samples >= 3 and (a, b) != (0.0, 1.0) and (a == 0.0 or a >= 1e-300):
+            assert i in drawn
+
+    left, right = 62.0, spec.width_px - 20.0
+    top, bottom = 20.0, spec.height_px - 48.0
+    for curve, i in zip(curves, drawn):
+        points = [tuple(map(float, pair.split(","))) for pair in curve.get("points").split()]
+        assert len(points) == len(defined[i])
+        for px, py in points:
+            assert left <= px <= right and top <= py <= bottom
+
+    for element in root.iter():
+        if element.tag in (f"{SVG}line", f"{SVG}text"):
+            for attribute in ("x1", "y1", "x2", "y2", "x", "y"):
+                value = element.get(attribute)
+                assert value is None or PIXEL.fullmatch(value), (element.tag, attribute, value)
