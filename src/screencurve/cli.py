@@ -137,7 +137,7 @@ def _run_plot(args: argparse.Namespace, out: TextIO) -> int:
     entries = parse_catalog(_read_text(args.catalog))
     spec = PlotSpec(
         entries=tuple(entries),
-        samples=args.samples,
+        samples=getattr(args, "samples", PlotSpec.samples),
         show_threshold=args.threshold,
         show_beta=args.beta,
         show_chords=args.chords,
@@ -204,7 +204,7 @@ _COMMANDS = {
     "plot": (_run_plot, "render curves from a catalog file to SVG", (
         ("--catalog", dict(required=True, help="CSV catalog of named tests")),
         ("--out", dict(required=True, help="SVG output path")),
-        ("--samples", dict(type=_samples, default=257)),
+        ("--samples", dict(type=_samples, default=argparse.SUPPRESS)),
         ("--threshold", dict(action="store_true", help="mark each prevalence threshold")),
         ("--beta", dict(action="store_true", help="draw each origin-chord angle")),
         ("--chords", dict(action="store_true", help="draw origin and endpoint chords")),
@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli_dispatch(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
+def cli_dispatch(
+    argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None
+) -> int:
     """Parse ``argv`` and run the selected subcommand; return the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr

@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import screencurve
-from screencurve import CohortResult, ScreeningTest, build_test_report, simulate_cohort
+from screencurve import (
+    CohortResult,
+    PlotSpec,
+    ScreeningTest,
+    build_test_report,
+    parse_catalog,
+    render_screening_plane,
+    simulate_cohort,
+)
 from screencurve.cli import build_parser, cli_dispatch
 from screencurve.emit import emit_report, report_text
 
@@ -265,6 +273,15 @@ class TestPlot:
         )
         assert code == 2
         assert "line 2" in err
+
+    def test_default_samples_are_the_plot_specs(self, tmp_path):
+        # The default grid size is stated once, on PlotSpec.
+        text = "name,sensitivity,specificity\nanchor,0.95,0.75\nmirror,0.75,0.95\n"
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text(text, encoding="utf-8")
+        code, out, err = run(["plot", "--catalog", str(catalog), "--out", "-"])
+        assert (code, err) == (0, "")
+        assert out == render_screening_plane(PlotSpec(tuple(parse_catalog(text))))
 
     @pytest.mark.parametrize("name", ["a\x01b", "x\ufffey"])
     def test_name_xml_cannot_hold_is_a_usage_error(self, tmp_path, name):
