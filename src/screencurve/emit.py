@@ -124,7 +124,9 @@ def test_report_payload(report: TestReport) -> dict:
 
 def _comparison_payload(report: ComparisonReport) -> dict:
     """Both sides as test-report payloads, every other field as its record."""
-    return {key: (_builder(type(value)) or _record)(value) for key, value in _record(report).items()}
+    return {
+        key: (_builder(type(value)) or _record)(value) for key, value in _record(report).items()
+    }
 
 
 def _cohort_payload(result: CohortResult) -> dict:

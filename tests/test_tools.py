@@ -51,3 +51,14 @@ that is not a docstring
 '''
     # x = 1, def f(), the three lines of text = ..., return text.
     assert loc.code_lines(source) == 6
+
+
+def test_no_source_line_is_over_100_characters():
+    # Code lines count physical lines, so joining lines must not lower them.
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
