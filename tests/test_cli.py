@@ -294,6 +294,46 @@ class TestPlot:
         assert run(["catalog", str(catalog), "--json"])[0] == 0
 
 
+#: The commands that take ``--out``; {catalog} stands for a catalog file.
+WRITERS = {
+    "curve": ["curve", "--sens", "0.95", "--spec", "0.75"],
+    "curve-3": ["curve", "--sens", "0.95", "--spec", "0.75", "--samples", "3"],
+    "plot": ["plot", "--catalog", "{catalog}", "--threshold", "--beta", "--chords"],
+}
+
+
+def writer_argv(name, tmp_path):
+    catalog = tmp_path / "tests.csv"
+    catalog.write_text(
+        "name,sensitivity,specificity\nanchor,0.95,0.75\nmirror,0.75,0.95\ncertain,0.9,1\n",
+        encoding="utf-8",
+    )
+    return [arg.replace("{catalog}", str(catalog)) for arg in WRITERS[name]]
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_a_file_gets_the_bytes_stdout_gets(self, tmp_path, name):
+        argv = writer_argv(name, tmp_path)
+        code, out, err = run([*argv, "--out", "-"])
+        assert (code, err) == (0, "") and out
+        target = tmp_path / "out.txt"
+        assert run([*argv, "--out", str(target)]) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["curve", "plot"])
+    @pytest.mark.parametrize("where", ["missing/out.txt", "directory"])
+    def test_an_unwritable_path_fails_and_creates_nothing(self, tmp_path, name, where):
+        argv = writer_argv(name, tmp_path)
+        (tmp_path / "directory").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run([*argv, "--out", str(tmp_path / where)])
+        assert (code, out) == (1, "")
+        assert err.startswith("screencurve: error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestSimulate:
     def test_human_output(self):
         code, out, _ = run(
