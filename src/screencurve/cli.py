@@ -9,10 +9,13 @@ sensitivity and specificity approach 1 together).
 The table ``_COMMANDS`` is the one place a subcommand or option is declared:
 the parser, the joiner of negative values and dispatch all read it.
 
-Exit codes: 0 on success, 1 when the inputs are valid numbers but the
-requested quantity is undefined for them (degenerate tests) or an output
-file cannot be written, 2 for usage errors (including arguments outside
-their documented domain), malformed catalog files, or unreadable inputs.
+Each runner builds its whole document and returns it as a string; it writes
+nothing.  ``cli_dispatch`` is the one place output is written (to ``--out``,
+or to stdout when that is absent or ``-``) and the one place errors become
+exit codes: 0 on success, 1 when the inputs are valid numbers but the
+requested quantity is undefined for them (degenerate tests) or the output
+cannot be written, 2 for usage errors (including arguments outside their
+documented domain), malformed catalog files, or unreadable inputs.
 """
 
 from __future__ import annotations
@@ -95,89 +98,67 @@ def _pair(text: str) -> ScreeningTest:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _write_text(path: str | None, text: str, out: TextIO) -> None:
-    if path is None or path == "-":
-        out.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _write_report(report, args: argparse.Namespace, out: TextIO) -> int:
+def _report(report, args: argparse.Namespace) -> str:
     from .emit import emit_report, report_text
-    out.write(emit_report(report) if args.json else report_text(report))
-    return 0
+    return emit_report(report) if args.json else report_text(report)
 
 
-def _run_analyze(args: argparse.Namespace, out: TextIO) -> int:
+def _run_analyze(args: argparse.Namespace) -> str:
     from .analysis import build_test_report
     # Strict: a single-test report on a degenerate test is an error (exit 1),
     # unlike the batch `catalog` command which tolerates absent quantities.
-    report = build_test_report(ScreeningTest(args.sens, args.spec), strict=True)
-    return _write_report(report, args, out)
+    return _report(build_test_report(ScreeningTest(args.sens, args.spec), strict=True), args)
 
 
-def _run_curve(args: argparse.Namespace, out: TextIO) -> int:
+def _run_curve(args: argparse.Namespace) -> str:
     from .emit import emit_curve_csv
-    test = ScreeningTest(args.sens, args.spec)
-    samples = curve_samples(test, args.samples)
-    _write_text(args.out, emit_curve_csv(samples), out)
-    return 0
+    return emit_curve_csv(curve_samples(ScreeningTest(args.sens, args.spec), args.samples))
 
 
-def _run_compare(args: argparse.Namespace, out: TextIO) -> int:
+def _run_compare(args: argparse.Namespace) -> str:
     from .analysis import compare_tests
-    report = compare_tests(args.test1, args.test2, eps_tol=args.eps_tol)
-    return _write_report(report, args, out)
+    return _report(compare_tests(args.test1, args.test2, eps_tol=args.eps_tol), args)
 
 
-def _run_plot(args: argparse.Namespace, out: TextIO) -> int:
+def _run_plot(args: argparse.Namespace) -> str:
     from .catalog import parse_catalog
     from .svgplot import PlotSpec, render_screening_plane
-    entries = parse_catalog(_read_text(args.catalog))
-    spec = PlotSpec(
-        entries=tuple(entries),
+    return render_screening_plane(PlotSpec(
+        entries=tuple(parse_catalog(_read_text(args.catalog))),
         samples=getattr(args, "samples", PlotSpec.samples),
         show_threshold=args.threshold,
         show_beta=args.beta,
         show_chords=args.chords,
-    )
-    _write_text(args.out, render_screening_plane(spec), out)
-    return 0
+    ))
 
 
-def _run_simulate(args: argparse.Namespace, out: TextIO) -> int:
+def _run_simulate(args: argparse.Namespace) -> str:
     from .cohort import simulate_cohort
     test = ScreeningTest(args.sens, args.spec)
-    return _write_report(simulate_cohort(test, args.prev, args.n, args.seed), args, out)
+    return _report(simulate_cohort(test, args.prev, args.n, args.seed), args)
 
 
-def _run_catalog(args: argparse.Namespace, out: TextIO) -> int:
+def _run_catalog(args: argparse.Namespace) -> str:
     from .analysis import build_test_report
     from .catalog import parse_catalog
     from .emit import render_json, report_text, test_report_payload
     entries = parse_catalog(_read_text(args.path))
     reports = [(entry.name, build_test_report(entry.test, strict=False)) for entry in entries]
     if args.json:
-        payload = [{"name": name, **test_report_payload(report)} for name, report in reports]
-        out.write(render_json(payload) + "\n")
-    else:
-        out.write("\n".join(f"[{name}]\n{report_text(report)}" for name, report in reports))
-    return 0
+        return render_json([{"name": name, **test_report_payload(report)}
+                            for name, report in reports]) + "\n"
+    return "\n".join(f"[{name}]\n{report_text(report)}" for name, report in reports)
 
 
-def _run_limit_sweep(args: argparse.Namespace, out: TextIO) -> int:
+def _run_limit_sweep(args: argparse.Namespace) -> str:
     from .analysis import fts_limit_sweep
     from .emit import format_real, render_json
     rows = fts_limit_sweep(args.steps)
     if args.json:
-        payload = [{"epsilon": eps, "auc": auc} for eps, auc in rows]
-        out.write(render_json(payload) + "\n")
-        return 0
-    out.write("step,epsilon,auc\n")
-    for k, (eps, auc) in enumerate(rows, start=1):
-        out.write(f"{k},{format_real(eps)},{format_real(auc)}\n")
-    return 0
+        return render_json([{"epsilon": eps, "auc": auc} for eps, auc in rows]) + "\n"
+    return "step,epsilon,auc\n" + "".join(
+        f"{k},{format_real(eps)},{format_real(auc)}\n" for k, (eps, auc) in enumerate(rows, 1)
+    )
 
 
 #: Each subcommand: its runner, its help line and its arguments in ``--help``
@@ -293,15 +274,26 @@ def cli_dispatch(
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    runner = _COMMANDS[args.command][0]
+    path = getattr(args, "out", None)
     try:
-        return runner(args, out)
+        text = _COMMANDS[args.command][0](args)
+        if path is None or path == "-":
+            out.write(text)
+            out.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except (ParseError, ParameterError, _InputError) as exc:
         err.write(f"screencurve: error: {exc}\n")
         return 2
-    except (ScreeningError, OSError) as exc:
+    except ScreeningError as exc:
         err.write(f"screencurve: error: {exc}\n")
         return 1
+    except OSError as exc:  # runners read through _read_text, so this is the write
+        target = "standard output" if path is None or path == "-" else repr(path)
+        err.write(f"screencurve: error: cannot write {target}: {exc.strerror or exc}\n")
+        return 1
+    return 0
 
 
 def main() -> None:

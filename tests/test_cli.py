@@ -1,5 +1,6 @@
 """Command dispatch: exit codes, output shapes, and file handling."""
 
+import errno
 import hashlib
 import io
 import itertools
@@ -332,6 +333,32 @@ class TestOutPath:
         assert err.startswith("screencurve: error: ") and err.count("\n") == 1
         assert err.endswith("\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("where, code", [("missing/out.txt", errno.ENOENT),
+                                             ("directory", errno.EISDIR)])
+    def test_a_failed_write_names_its_file(self, tmp_path, where, code):
+        (tmp_path / "directory").mkdir()
+        path = str(tmp_path / where)
+        assert run([*writer_argv("curve-3", tmp_path), "--out", path]) == (
+            1, "", f"screencurve: error: cannot write {path!r}: {os.strerror(code)}\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--sens", "0.95", "--spec", "0.75", "--json"],
+        ["curve", "--sens", "0.95", "--spec", "0.75", "--out", "-"],
+        ["limit-sweep", "--steps", "3"],
+    ])
+    # A buffered stream meets a closed pipe when it flushes, a short write at once.
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_a_failed_stdout_write_says_so(self, argv, method):
+        def closed(self, *args):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        err = io.StringIO()
+        assert cli_dispatch(argv, type("ClosedPipe", (io.StringIO,), {method: closed})(), err) == 1
+        assert err.getvalue() == (
+            f"screencurve: error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+        )
 
 
 class TestSimulate:
