@@ -103,6 +103,9 @@ def _xml_escape(text: str) -> str:
 
 
 def _comment_safe(text: str) -> str:
+    # A comment holds no character references, so each line break becomes a
+    # space and a warning stays on one line.
+    text = text.replace("\r", " ").replace("\n", " ")
     while "--" in text:
         text = text.replace("--", "-")
     return text

@@ -224,6 +224,15 @@ class TestOverlays:
                 assert "--" not in line[4:-3]
         ET.fromstring(text)
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\rb"])
+    def test_a_warning_stays_on_one_line(self, name):
+        entry = CatalogEntry(name, ScreeningTest(0.0, 0.5))
+        text = render(entries=(entry,), show_threshold=True, show_beta=True, show_chords=True)
+        warnings = [line for line in text.splitlines() if "warning" in line]
+        assert len(warnings) == text.count("<!--") == 3
+        assert all(line.startswith("<!--") and line.endswith("-->") for line in warnings)
+        ET.fromstring(text)
+
 
 class TestAxesAndLegend:
     def test_axis_labels(self):
