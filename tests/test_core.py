@@ -318,6 +318,13 @@ assert screencurve.ScreeningTest is sys.modules["screencurve.core"].ScreeningTes
         assert set(screencurve.__all__) <= namespace.keys()
         assert all(namespace[name] is getattr(screencurve, name) for name in screencurve.__all__)
 
+    @pytest.mark.parametrize("module", [*screencurve._EXPORTS, "cli"])
+    def test_the_export_table_and_each_modules_all_agree(self, module):
+        # The lazy table restates each module's public names for the import.
+        loaded = importlib.import_module(f"screencurve.{module}")
+        assert set(screencurve._EXPORTS.get(module, ())) <= set(loaded.__all__)
+        assert [name for name in loaded.__all__ if name not in vars(loaded)] == []
+
     def test_dir_covers_the_public_names(self):
         assert set(screencurve.__all__) <= set(dir(screencurve))
 
