@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import TextIO
 
@@ -297,7 +298,14 @@ def cli_dispatch(
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    code = cli_dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # cli_dispatch has reported the failed write; what stdout still
+        # buffers goes to os.devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -37,14 +37,18 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(module, argv):
-    """Run ``python -m module argv`` in a fresh interpreter that imports this package."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
     package_root = str(Path(screencurve.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+
+
+def run_module(module, argv):
+    """Run ``python -m module argv`` in a fresh interpreter that imports this package."""
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", env=fresh_env(), timeout=60,
     )
 
 
@@ -358,6 +362,25 @@ class TestOutPath:
         assert cli_dispatch(argv, type("ClosedPipe", (io.StringIO,), {method: closed})(), err) == 1
         assert err.getvalue() == (
             f"screencurve: error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+        )
+
+    def test_a_closed_stdout_pipe_ends_the_process_with_one_line(self):
+        # Buffered stdout keeps the text its failed flush could not write;
+        # the interpreter's flush at exit must not fail on it again (which
+        # printed "Exception ignored ... BrokenPipeError" and exited 120).
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "screencurve", "limit-sweep", "--steps", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            1, f"screencurve: error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
         )
 
 
