@@ -19,17 +19,28 @@ with probability sensitivity, else a positive test with probability
 1 - specificity.  Zero-positive cohorts yield absent estimates with a
 reason, never a fabricated value.
 
-Kernel.  A draw never becomes a float: the uniform (w >> 11) * 2^-53 of a
+Draws.  A draw never becomes a float: the uniform (w >> 11) * 2^-53 of a
 word w is below p exactly when w < ceil(p * 2^53) * 2^11, since w >> 11 is
-an integer and p * 2^53 is exact; at p = 1 every draw passes.  Words are
-mixed in place, and only diseased subjects and true and false positives are
-counted, in blocks of 2^15 subjects (``_CHUNK``) run one after another on
-the calling thread: two threads on a shared two-core host took from half to
-all of one thread's time.  numpy is imported on the first simulation.
+an integer and p * 2^53 is exact; at p = 1 every draw passes.  Only diseased
+subjects and true and false positives are counted, in blocks run one after
+another on the calling thread: two threads on a shared two-core host took
+from half to all of one thread's time.
 
-Buffers.  A call's buffers, about 1.4 MiB whatever n is, stay in a core's
-2 MiB L2 cache from one block to the next; larger blocks spill out of it,
-and smaller ones cost more in per-block numpy calls than the cache saves.
+Kernels.  Two kernels give the same counts bit for bit, so no output
+depends on which one ran.  The numpy kernel mixes words in place, in blocks
+of 2^15 subjects (``_CHUNK``), at about 6 ns a subject, but importing numpy
+costs about 120 ms.  The SWAR kernel (SIMD within a register) runs the same
+arithmetic on plain Python ints, one 128-bit lane a word, at about 0.2 us a
+subject.  ``_tally`` takes the SWAR kernel while numpy is not loaded and the
+subjects this process has simulated, the call's own included, stay within
+``_SWAR_BUDGET``, about the import's cost in SWAR time; after that it
+imports numpy.  So a cold ``simulate`` at its default n = 10^5 never loads
+numpy, and a long loop of small calls spends at most about one import's
+time in SWAR before it switches.
+
+Buffers.  A numpy call's buffers, about 1.4 MiB whatever n is, stay in a
+core's 2 MiB L2 cache from one block to the next; larger blocks spill out of
+it, and smaller ones cost more in per-block numpy calls than the cache saves.
 A load waits for a store still in flight whose address has the same low
 12 bits (4K aliasing), so passes over buffers a few bytes apart modulo
 4096, as the allocator placed a call's words and scratch, ran at half
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Sequence
 
 from .core import ScreeningTest, _Record, _require_int, _require_probability
@@ -61,6 +73,21 @@ _MASK = (1 << 64) - 1
 
 #: Subjects per block, so that a call's buffers stay in L2 (module docstring).
 _CHUNK = 1 << 15
+
+#: Subjects per block of the SWAR kernel: 2^12 lanes, 64 KiB per int.  Blocks
+#: of 2^10 to 2^14 lanes ran at 0.20-0.22 us a subject on a 2-vCPU Xeon with
+#: CPython 3.11.
+_SWAR_CHUNK = 1 << 11
+
+#: Subjects the SWAR kernel may simulate in one process before ``_tally``
+#: imports numpy: about numpy's import (medians of 65-150 ms over a bare
+#: interpreter's start, CPython 3.11, numpy 2.4, a 2-vCPU Xeon) over the SWAR
+#: kernel's ~0.2 us a subject.
+_SWAR_BUDGET = 1 << 19
+
+#: Subjects the SWAR kernel has simulated in this process.  A lost update
+#: between threads only moves the switch to numpy, which no count depends on.
+_swar_subjects = 0
 
 
 def _mix64(z: int) -> int:
@@ -139,7 +166,20 @@ def _below(words, cutoff: int, out):
 
 
 def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
-    """(diseased, true positives, false positives) among subjects [lo, hi)."""
+    """(diseased, true positives, false positives) among subjects [lo, hi).
+
+    ``seed`` is in [0, 2^64) and each cutoff in [0, 2^64], as ``_cutoff``
+    gives them; the kernel is chosen as the module docstring says.
+    """
+    global _swar_subjects
+    if "numpy" not in sys.modules and _swar_subjects + hi - lo <= _SWAR_BUDGET:
+        _swar_subjects += hi - lo
+        return _tally_swar(seed, cutoffs, lo, hi)
+    return _tally_numpy(seed, cutoffs, lo, hi)
+
+
+def _tally_numpy(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
+    """``_tally`` on numpy arrays, in blocks of ``_CHUNK`` subjects."""
     np = _numpy()[0]
     phi_cut, a_cut, fpr_cut = cutoffs
     chunk = _CHUNK
@@ -161,6 +201,67 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
         true_pos += int(np.count_nonzero(np.logical_and(hit, sick, out=hit)))
         hit = _below(test, fpr_cut, hit)
         false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
+    return diseased, true_pos, false_pos
+
+
+@functools.cache
+def _lanes():
+    """(R, L, steps, even) for one full block of the SWAR kernel.
+
+    Each int holds 2 * _SWAR_CHUNK lanes of 128 bits: R has bit 0 of every
+    lane set, L = R * (2^64 - 1) the low half of every lane, the steps hold
+    k * golden (mod 2^64) in lane k, and even is R's even lanes only.  Lane
+    k of a tail block is lane k of a full one, so a tail masks these.
+    """
+    lanes = 2 * _SWAR_CHUNK
+    r = int.from_bytes((1).to_bytes(16, "little") * lanes, "little")
+    even = int.from_bytes((1).to_bytes(32, "little") * _SWAR_CHUNK, "little")
+    steps = b"".join((k * _GOLDEN & _MASK).to_bytes(16, "little") for k in range(lanes))
+    return r, r * _MASK, int.from_bytes(steps, "little"), even
+
+
+def _complements(disease_cut: int, test_cut: int, m: int) -> int:
+    """2^64 - disease_cut in each disease lane of m subjects, 2^64 - test_cut in each test lane."""
+    pair = ((1 << 64) - disease_cut) | ((1 << 64) - test_cut) << 128
+    return int.from_bytes(pair.to_bytes(32, "little") * m, "little")
+
+
+def _tally_swar(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
+    """``_tally`` on Python ints, one 128-bit lane a word (SWAR).
+
+    Lane 2j holds subject start + j's disease word and lane 2j + 1 its test
+    word.  A 64-bit word times a 64-bit multiplier fits its lane and a shift
+    is masked back to the low half, so no lane spills into the next.  Lane
+    k of ``w + 2^64 - cut`` has bit 64 set exactly when its word w >= cut.
+    """
+    phi_cut, a_cut, fpr_cut = cutoffs
+    full = _lanes()
+    diseased = true_pos = false_pos = 0
+    size = 0
+    for start in range(lo, hi, _SWAR_CHUNK):
+        m = min(_SWAR_CHUNK, hi - start)
+        if m != size:
+            size, mask = m, (1 << 256 * m) - 1
+            r, low, steps, even = (c & mask for c in full)
+            cuts = _complements(phi_cut, a_cut, m)
+            fpr_cuts = _complements(0, fpr_cut, m)
+        # Subject start + j draws from counters 2(start + j) + 1 and + 2.
+        w = (steps + ((seed + (2 * start + 1) * _GOLDEN) & _MASK) * r) & low
+        w ^= (w >> 30) & low
+        w = (w * _MIX_1) & low
+        w ^= (w >> 27) & low
+        w = (w * _MIX_2) & low
+        w ^= (w >> 31) & low
+        # Bit 0 of each disease lane: set when that subject is healthy, when
+        # its test misses at a, and when it misses at 1 - b.
+        flags = w + cuts
+        healthy = (flags >> 64) & even
+        miss = (flags >> 192) & even
+        no_false_hit = ((w + fpr_cuts) >> 192) & even
+        healthy_count = healthy.bit_count()
+        diseased += m - healthy_count
+        true_pos += m - (healthy | miss).bit_count()
+        false_pos += healthy_count - (healthy & no_false_hit).bit_count()
     return diseased, true_pos, false_pos
 
 

@@ -3,11 +3,14 @@
 import concurrent.futures
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from screencurve import (
     AbsentEstimateError,
@@ -17,6 +20,7 @@ from screencurve import (
     ppv,
     simulate_cohort,
 )
+from screencurve import cohort as cohort_module
 from screencurve.cohort import _mix_in_place
 
 from _oracles import MC_PPV_9575_AT_034, cohort_counts, seed_for_output
@@ -128,6 +132,93 @@ class TestGoldenCounts:
         # Frozen from the library and checked once against cohort_counts
         # (a few seconds each in pure Python, too slow to repeat here).
         assert counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed)) == expected
+
+
+class TestGoldenCountsOnTheSwarKernel(TestGoldenCounts):
+    """The same counts from the kernel a process without numpy runs.
+
+    This process has numpy loaded, so ``_tally`` would take the numpy kernel;
+    here ``simulate_cohort`` calls the SWAR kernel itself.  The block
+    boundaries the inherited tests cross, at 2^15 and 2^16 subjects, are
+    boundaries of the SWAR kernel's blocks too.
+    """
+
+    @pytest.fixture(autouse=True)
+    def swar_kernel(self, monkeypatch):
+        assert (1 << 15) % cohort_module._SWAR_CHUNK == 0
+        monkeypatch.setattr(cohort_module, "_tally", cohort_module._tally_swar)
+
+
+#: Cutoffs for the kernels themselves: every edge word, both ends of the
+#: range [0, 2^64] and any word in between.
+CUTOFFS = st.one_of(st.sampled_from([*EDGE_WORDS, 1 << 64]), st.integers(0, 1 << 64))
+
+#: First subjects a little either side of a block boundary of either kernel.
+FIRST_SUBJECTS = st.builds(
+    lambda edge, offset: max(0, edge + offset),
+    st.sampled_from([0, cohort_module._SWAR_CHUNK, 3 * cohort_module._SWAR_CHUNK,
+                     cohort_module._CHUNK]),
+    st.integers(-40, 40),
+)
+
+#: A cutoff triple that ``simulate_cohort`` would build for (0.34, 0.95, 0.75).
+ANCHOR_CUTOFFS = tuple(map(cohort_module._cutoff, (0.34, 0.95, 0.25)))
+
+
+class TestSwarKernel:
+    """The numpy-free kernel against the numpy one, called directly."""
+
+    @given(
+        seed=st.integers(0, (1 << 64) - 1),
+        cutoffs=st.tuples(CUTOFFS, CUTOFFS, CUTOFFS),
+        lo=FIRST_SUBJECTS,
+        size=st.integers(0, 2 * cohort_module._SWAR_CHUNK + 100),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_both_kernels_count_alike_however_the_range_is_split(
+        self, seed, cutoffs, lo, size, split
+    ):
+        hi, mid = lo + size, lo + round(split * size)
+        swar = cohort_module._tally_swar(seed, cutoffs, lo, hi)
+        assert swar == cohort_module._tally_numpy(seed, cutoffs, lo, hi)
+        parts = [cohort_module._tally_swar(seed, cutoffs, *r) for r in ((lo, mid), (mid, hi))]
+        assert tuple(map(sum, zip(*parts))) == swar
+
+    def test_two_threads_get_the_same_counts(self):
+        # The lane constants are built once and shared, read-only; the
+        # threads race to build them first.
+        n = 3 * cohort_module._SWAR_CHUNK + 5
+        calls = [
+            [(seed, ANCHOR_CUTOFFS, 0, n) for seed in range(4)],
+            [(seed, (1 << 63, 2048, 1 << 64), 11, n + 11) for seed in range(4, 8)],
+        ]
+        expected = [[cohort_module._tally_swar(*call) for call in batch] for batch in calls]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(batch):
+            start.wait()
+            return [cohort_module._tally_swar(*call) for call in batch]
+
+        interval = sys.getswitchinterval()
+        cohort_module._lanes.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(run, calls, timeout=60)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_memory_within_the_budget_is_bounded(self):
+        # A block's ints are 64 KiB each whatever n is; the warm-up call
+        # builds the cached lane constants.
+        cohort_module._tally_swar(1, ANCHOR_CUTOFFS, 0, 10)
+        tracemalloc.start()
+        try:
+            cohort_module._tally_swar(2, ANCHOR_CUTOFFS, 0, cohort_module._SWAR_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 def address(array):

@@ -214,7 +214,7 @@ def test_epsilon_is_not_nan_for_valid_tests():
     "module", ["core", "geometry", "analysis", "cohort", "emit", "cli", "catalog", "svgplot"]
 )
 def test_numpy_stays_in_the_cohort_simulator(module):
-    # cohort imports numpy inside its kernel, on the first simulation.
+    # cohort imports numpy inside its numpy kernel, once past the SWAR budget.
     namespace = vars(importlib.import_module(f"screencurve.{module}"))
     numpy_modules = [
         name
@@ -236,20 +236,60 @@ def run_fresh(script, *argv):
     return done.stdout
 
 
-def test_numpy_loads_on_the_first_simulation():
+def test_numpy_loads_only_past_the_swar_budget():
+    # simulate runs on the SWAR kernel until this process has simulated
+    # _SWAR_BUDGET subjects; past that it loads numpy, and the bytes are the same.
     run_fresh("""
 import io, sys
 import screencurve
 from screencurve.cli import cli_dispatch
+from screencurve.cohort import _SWAR_BUDGET
 assert "numpy" not in sys.modules, "numpy loaded by the import"
 argv = ["analyze", "--sens", "0.95", "--spec", "0.75", "--json"]
 assert cli_dispatch(argv, io.StringIO(), io.StringIO()) == 0
 assert "numpy" not in sys.modules, "numpy loaded by analyze"
-out = io.StringIO()
-argv = ["simulate", "--sens", "0.95", "--spec", "0.75", "--prev", "0.34", "--n", "1000"]
-assert cli_dispatch(argv, out, io.StringIO()) == 0
-assert "numpy" in sys.modules and "cohort size: 1000" in out.getvalue()
+
+def simulate(n):
+    out = io.StringIO()
+    argv = ["simulate", "--sens", "0.95", "--spec", "0.75", "--prev", "0.34", "--n", str(n)]
+    assert cli_dispatch(argv, out, io.StringIO()) == 0
+    return out.getvalue()
+
+before = simulate(1000)
+assert "numpy" not in sys.modules and "cohort size: 1000" in before
+simulate(_SWAR_BUDGET - 1000)
+assert "numpy" not in sys.modules, "numpy loaded within the budget"
+simulate(1)
+assert "numpy" in sys.modules, "numpy not loaded past the budget"
+assert simulate(1000) == before
 """)
+
+
+#: ``python -m screencurve`` with the arguments after ``-c``.
+RUN_THE_PACKAGE = """
+import runpy
+runpy.run_module("screencurve", run_name="__main__", alter_sys=True)
+"""
+
+#: An import finder that refuses numpy, put first on ``sys.meta_path``.
+REFUSE_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+
+def test_simulate_at_its_default_size_runs_without_numpy():
+    argv = ["simulate", "--sens", "0.95", "--spec", "0.75", "--prev", "0.34",
+            "--n", "100000", "--seed", "-7", "--json"]
+    refused = run_fresh(REFUSE_NUMPY + RUN_THE_PACKAGE, *argv)
+    assert '"n": 100000' in refused
+    assert refused == run_fresh(RUN_THE_PACKAGE, *argv)
 
 
 #: Prints the package's loaded submodules (and numpy) after ``import
@@ -282,7 +322,7 @@ REPORTING = "analysis cli core emit errors geometry"
         (["plot", "--catalog", "{catalog}", "--out", "{svg}"],
          "analysis catalog cli core errors geometry svgplot"),
         (["simulate", "--sens", "0.9", "--spec", "0.8", "--prev", "0.3", "--n", "100"],
-         "cli cohort core emit errors numpy"),
+         "cli cohort core emit errors"),
         (["catalog", "{catalog}", "--json"], "analysis catalog cli core emit errors geometry"),
     ],
 )
@@ -291,9 +331,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     catalog.write_text("name,sensitivity,specificity\nA,0.9,0.8\n", encoding="utf-8")
     argv = [arg.format(catalog=catalog, svg=tmp_path / "plot.svg") for arg in argv]
     # No record builds its dataclass fields, which would load dataclasses,
-    # and only numpy loads inspect.
-    standard = "inspect" if argv[0] == "simulate" else ""
-    assert run_fresh(LOADED_BY_A_SUBCOMMAND, *argv).splitlines() == ["", modules, standard]
+    # and no subcommand loads numpy, which would load inspect.
+    assert run_fresh(LOADED_BY_A_SUBCOMMAND, *argv).splitlines() == ["", modules, ""]
 
 
 class TestLazyNamespace:
