@@ -161,7 +161,7 @@ FIRST_SUBJECTS = st.builds(
     st.integers(-40, 40),
 )
 
-#: A cutoff triple that ``simulate_cohort`` would build for (0.34, 0.95, 0.75).
+#: The cutoffs ``simulate_cohort`` builds for ANCHOR at prevalence 0.34.
 ANCHOR_CUTOFFS = tuple(map(cohort_module._cutoff, (0.34, 0.95, 0.25)))
 
 
