@@ -27,7 +27,7 @@ import sys
 from typing import TextIO
 
 from . import __version__
-from .core import ScreeningTest, curve_samples
+from .core import ScreeningTest, _require_real, curve_samples
 from .errors import ParameterError, ParseError, ScreeningError
 
 # Each runner imports the rest of the package it uses, so a subcommand loads
@@ -84,6 +84,14 @@ def _samples(text: str) -> int:
     value = _positive_int(text)
     if value > _MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"value must be <= {_MAX_SAMPLES}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        _require_real("eps_tol", value := float(text), 0.0)
+    except ValueError as exc:  # ParameterError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -179,7 +187,7 @@ _COMMANDS = {
     "compare": (_run_compare, "order two tests by curve, angle, and area", (
         ("--test1", dict(type=_pair, required=True, metavar="SENS,SPEC")),
         ("--test2", dict(type=_pair, required=True, metavar="SENS,SPEC")),
-        ("--eps-tol", dict(type=float, default=1e-9,
+        ("--eps-tol", dict(type=_tolerance, default=1e-9,
                            help="tolerance for treating the gain indices as equal")),
         ("--json", dict(action="store_true")),
     )),

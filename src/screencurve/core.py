@@ -66,6 +66,19 @@ def _ppv(a: float, c: float, phi: float) -> float | None:
     return positives / denominator
 
 
+def _grid(n: int) -> list[float]:
+    """The n prevalences phi_k = k/(n-1) that ``curve_samples`` and the plots sample."""
+    # k <= n-1 and division rounds monotonically, so 0 <= phi <= 1.
+    last = n - 1
+    return [k / last for k in range(n)]
+
+
+def _rhos(test: ScreeningTest, phis: list[float]) -> list[float | None]:
+    """rho at each of ``phis``: None where 0/0, else x/y with 0 <= x <= y, y > 0."""
+    a, c = test.sensitivity, 1.0 - test.specificity
+    return [_ppv(a, c, phi) for phi in phis]
+
+
 #: Declared default of a field that gets a fresh ``{}`` per instance;
 #: ``dataclasses.fields`` shows it as ``default_factory=dict``.
 _NEW_DICT = object()
@@ -241,19 +254,10 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
     Raises:
         ParameterError: if ``n`` is not an integer >= 2.
     """
-    n = _require_int("n", n, 2)
-    a, c = test.sensitivity, 1.0 - test.specificity
-    new, set_field = object.__new__, object.__setattr__
-    last = n - 1
-    points = []
-    for k in range(n):
-        # k <= n-1 and division rounds monotonically, so 0 <= phi <= 1;
-        # _ppv returns None or x/y with 0 <= x <= y, y > 0.  Both are floats
-        # that the constructor's checks would return unchanged, so they are
-        # skipped.
-        phi = k / last
-        point = new(CurvePoint)
-        set_field(point, "phi", phi)
-        set_field(point, "rho", _ppv(a, c, phi))
-        points.append(point)
+    phis = _grid(_require_int("n", n, 2))
+    points = [object.__new__(CurvePoint) for _ in phis]
+    for point, phi, rho in zip(points, phis, _rhos(test, phis)):
+        # Both are floats the constructor's checks would return unchanged (see
+        # _grid and _rhos), so they are stored as its __init__ stores them.
+        point.__dict__.update(phi=phi, rho=rho)
     return points

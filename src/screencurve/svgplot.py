@@ -33,7 +33,7 @@ import re
 
 from .analysis import build_test_report
 from .catalog import CatalogEntry
-from .core import _Record, _require_int, curve_samples
+from .core import _grid, _Record, _require_int, _rhos
 from .errors import ParameterError
 
 __all__ = ["PALETTE", "PlotSpec", "render_screening_plane"]
@@ -157,15 +157,14 @@ def render_screening_plane(spec: PlotSpec) -> str:
 
     # Curves.
     body.append('<g class="curves" fill="none" stroke-width="1.5">')
+    # The grid of curve_samples: every entry shares its x column, formatted once.
+    phis = _grid(spec.samples)
+    columns = [f"{x(phi):.2f}," for phi in phis]
     for i, entry in enumerate(spec.entries):
         # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
-        # x(phi) and y(rho) inlined: the same expressions and bytes.
-        points = [
-            f"{_MARGIN_LEFT + point.phi * plot_w:.2f},"
-            f"{_MARGIN_TOP + (1.0 - point.rho) * plot_h:.2f}"
-            for point in curve_samples(entry.test, spec.samples)
-            if point.rho is not None
-        ]
+        # y(rho) inlined: the same expression and bytes.
+        points = [f"{column}{_MARGIN_TOP + (1.0 - rho) * plot_h:.2f}"
+                  for column, rho in zip(columns, _rhos(entry.test, phis)) if rho is not None]
         if len(points) >= 2:
             body.append(
                 f'<polyline class="curve" id="curve-{i}" '

@@ -113,6 +113,8 @@ class TestAnalyze:
              "argument --test1: could not convert string to float: 'x'"),
             (["compare", "--test1", "0.5,0.5", "--test2", "1.5,0.5"],
              "argument --test2: sensitivity must lie in [0, 1], got 1.5"),
+            (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps-tol", "x"],
+             "argument --eps-tol: could not convert string to float: 'x'"),
             # A value that starts with "-" but is no plain negative decimal,
             # which argparse alone would read as an option name.
             (["analyze", "--sens", "-1e-3", "--spec", "0.5"],
@@ -132,7 +134,7 @@ class TestAnalyze:
             (["compare", "--test1", "0.5,0.5", "--test2", "-1e-3,0.5"],
              "argument --test2: sensitivity must lie in [0, 1], got -0.001"),
             (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps-tol", "-inf"],
-             "eps_tol must be a finite number >= 0, got -inf"),
+             "argument --eps-tol: eps_tol must be a finite number >= 0, got -inf"),
             (["limit-sweep", "--steps", "-1e1"], "argument --steps: '-1e1' is not an integer"),
             # The same after a unique prefix of the option, which argparse accepts.
             (["analyze", "--sen", "-1e-3", "--spec", "0.5"],
@@ -141,7 +143,7 @@ class TestAnalyze:
             (["curve", "--sens", "0.5", "--spec", "0.5", "--sa", "-1e2"],
              "argument --samples: '-1e2' is not an integer"),
             (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps", "-inf"],
-             "eps_tol must be a finite number >= 0, got -inf"),
+             "argument --eps-tol: eps_tol must be a finite number >= 0, got -inf"),
             # --samples past its cap.  It comes first, so without the cap the
             # missing options are reported before any grid is built.
             (["curve", "--samples", "1000001"], "argument --samples: value must be <= 1000000"),
@@ -222,7 +224,8 @@ class TestCompare:
             ["compare", "--test1", "0.95,0.75", "--test2", "0.75,0.95", "--eps-tol", tol]
         )
         assert code == 2 and out == ""
-        assert "eps_tol" in err
+        assert err.startswith("usage: screencurve compare ")
+        assert f"argument --eps-tol: eps_tol must be a finite number >= 0, got {float(tol)}" in err
 
     def test_identical_tests_coincide(self):
         code, out, _ = run(["compare", "--test1", "0.9,0.8", "--test2", "0.9,0.8"])
@@ -906,7 +909,7 @@ class TestDispatchPlumbing:
             code, out, err = run(argv)
             digest.update(f"{code}\0{out}\0{err}\0".encode("utf-8"))
         assert digest.hexdigest() == (
-            "28c3c18ef2bd19720d216d90f7547bdb054b641662bdc3948a926065bd0a9587"
+            "52aaec3aecc9953aeb34713c9cd8ff220d976f7c220b6a6bc724167b31379db7"
         )
 
 

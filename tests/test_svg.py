@@ -303,12 +303,17 @@ def test_any_spec_renders_a_document_that_reads_back(spec):
         if spec.samples >= 3 and (a, b) != (0.0, 1.0) and (a == 0.0 or a >= 1e-300):
             assert i in drawn
 
+    # Each point is its curve_samples point in pixels, formatted alone.
     left, right = 62.0, spec.width_px - 20.0
     top, bottom = 20.0, spec.height_px - 48.0
+    plot_w, plot_h = right - left, bottom - top
     for curve, i in zip(curves, drawn):
-        points = [tuple(map(float, pair.split(","))) for pair in curve.get("points").split()]
-        assert len(points) == len(defined[i])
-        for px, py in points:
+        pairs = curve.get("points").split()
+        assert pairs == [
+            f"{62.0 + point.phi * plot_w:.2f},{20.0 + (1.0 - point.rho) * plot_h:.2f}"
+            for point in defined[i]
+        ]
+        for px, py in (map(float, pair.split(",")) for pair in pairs):
             assert left <= px <= right and top <= py <= bottom
 
     for element in root.iter():
