@@ -258,6 +258,7 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
     points = [object.__new__(CurvePoint) for _ in phis]
     for point, phi, rho in zip(points, phis, _rhos(test, phis)):
         # Both are floats the constructor's checks would return unchanged (see
-        # _grid and _rhos), so they are stored as its __init__ stores them.
-        point.__dict__.update(phi=phi, rho=rho)
+        # _grid and _rhos), so they go straight into the fields its __init__ fills.
+        fields = point.__dict__
+        fields["phi"], fields["rho"] = phi, rho
     return points
