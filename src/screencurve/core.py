@@ -257,7 +257,7 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
     phis = _grid(_require_int("n", n, 2))
     points = [object.__new__(CurvePoint) for _ in phis]
     for point, phi, rho in zip(points, phis, _rhos(test, phis)):
-        # Both are floats the constructor's checks would return unchanged (see
+        # The constructor's checks would return phi and rho unchanged (see
         # _grid and _rhos), so they go straight into the fields its __init__ fills.
         fields = point.__dict__
         fields["phi"], fields["rho"] = phi, rho

@@ -113,8 +113,6 @@ class TestAnalyze:
              "argument --test1: could not convert string to float: 'x'"),
             (["compare", "--test1", "0.5,0.5", "--test2", "1.5,0.5"],
              "argument --test2: sensitivity must lie in [0, 1], got 1.5"),
-            (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps-tol", "x"],
-             "argument --eps-tol: could not convert string to float: 'x'"),
             # A value that starts with "-" but is no plain negative decimal,
             # which argparse alone would read as an option name.
             (["analyze", "--sens", "-1e-3", "--spec", "0.5"],
@@ -150,6 +148,9 @@ class TestAnalyze:
             (["curve", "--samples", "1000000000"], "argument --samples: value must be <= 1000000"),
             (["plot", "--samples", "1000001"], "argument --samples: value must be <= 1000000"),
             (["plot", "--samples", "1000000000"], "argument --samples: value must be <= 1000000"),
+            # --eps-tol is checked by the parser too, as every other option is.
+            (["compare", "--test1", "0.5,0.5", "--test2", "0.5,0.5", "--eps-tol", "x"],
+             "argument --eps-tol: could not convert string to float: 'x'"),
         ],
     )
     def test_malformed_argument_is_usage_error(self, argv, message):
