@@ -390,6 +390,31 @@ class TestSimulateCohort:
         assert diseased_only.empirical_lr_plus is None
         assert diseased_only.empirical_ppv == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "sens, spec, phi, ppv_reason, lr_reason",
+        [
+            # One missing count each: the reason names it.
+            (0.95, 0.75, 0.0, None, "no diseased subjects were drawn"),
+            (0.95, 0.75, 1.0, None, "no healthy subjects were drawn"),
+            (0.95, 1.0, 0.5, None, "no false positives: empirical LR+ is unbounded"),
+            (0.0, 0.75, 0.5, None, "no true positives: empirical LR+ collapses to 0"),
+            # Several at once: diseased, healthy, false positives, true positives.
+            (0.0, 1.0, 0.5, "no subject tested positive in 1000 draws",
+             "no false positives: empirical LR+ is unbounded"),
+            (0.0, 1.0, 0.0, "no subject tested positive in 1000 draws",
+             "no diseased subjects were drawn"),
+            (0.0, 1.0, 1.0, "no subject tested positive in 1000 draws",
+             "no healthy subjects were drawn"),
+            (0.0, 0.75, 1.0, "no subject tested positive in 1000 draws",
+             "no healthy subjects were drawn"),
+        ],
+    )
+    def test_absent_estimate_reasons_are_pinned(self, sens, spec, phi, ppv_reason, lr_reason):
+        result = simulate_cohort(ScreeningTest(sens, spec), phi, 1_000, 1)
+        assert (result.ppv_reason, result.lr_reason) == (ppv_reason, lr_reason)
+        assert (result.empirical_ppv is None) == (ppv_reason is not None)
+        assert result.empirical_lr_plus is None
+
     @pytest.mark.parametrize("bad_n", [0, -5, 2.5, True])
     def test_count_validation(self, bad_n):
         with pytest.raises(ParameterError):
