@@ -279,7 +279,9 @@ class CohortResult(_Record):
     ``empirical_lr_plus`` is the ratio of the empirical true-positive and
     false-positive rates; it is reported only when all four of diseased,
     healthy, true positives, and false positives are nonzero, else None
-    with ``lr_reason`` set.
+    with ``lr_reason`` set.  When several of those counts are zero, the
+    reason names the first in this order: no diseased subjects, no healthy
+    subjects, no false positives, no true positives.
     """
 
     n: int
@@ -342,28 +344,13 @@ def simulate_cohort(
     diseased_total, true_pos, false_pos = _tally(seed_value, cutoffs, 0, n)
     healthy_total = n - diseased_total
     positives = true_pos + false_pos
-
-    ppv_value: float | None
-    ppv_reason: str | None
-    if positives > 0:
-        ppv_value, ppv_reason = true_pos / positives, None
-    else:
-        ppv_value = None
-        ppv_reason = f"no subject tested positive in {n} draws"
-
-    lr_value: float | None = None
-    lr_reason: str | None = None
-    if diseased_total == 0:
-        lr_reason = "no diseased subjects were drawn"
-    elif healthy_total == 0:
-        lr_reason = "no healthy subjects were drawn"
-    elif false_pos == 0:
-        lr_reason = "no false positives: empirical LR+ is unbounded"
-    elif true_pos == 0:
-        lr_reason = "no true positives: empirical LR+ collapses to 0"
-    else:
-        lr_value = (true_pos / diseased_total) / (false_pos / healthy_total)
-
+    # The first empty count names why LR+ is absent (see CohortResult).
+    lr_reason = next((reason for count, reason in (
+        (diseased_total, "no diseased subjects were drawn"),
+        (healthy_total, "no healthy subjects were drawn"),
+        (false_pos, "no false positives: empirical LR+ is unbounded"),
+        (true_pos, "no true positives: empirical LR+ collapses to 0"),
+    ) if count == 0), None)
     return CohortResult(
         n=n,
         seed=seed_value,
@@ -371,9 +358,10 @@ def simulate_cohort(
         false_pos=false_pos,
         true_neg=healthy_total - false_pos,
         false_neg=diseased_total - true_pos,
-        empirical_ppv=ppv_value,
-        empirical_lr_plus=lr_value,
-        ppv_reason=ppv_reason,
+        empirical_ppv=true_pos / positives if positives else None,
+        empirical_lr_plus=None if lr_reason is not None else (
+            (true_pos / diseased_total) / (false_pos / healthy_total)),
+        ppv_reason=None if positives else f"no subject tested positive in {n} draws",
         lr_reason=lr_reason,
     )
 

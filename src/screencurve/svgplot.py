@@ -13,6 +13,11 @@ its class, colour and coordinates.  Names are escaped for both attributes
 and text, tab, LF and CR included, so each reads back from the document as
 given.
 
+One pass per entry fills the curve, legend and overlay groups and collects
+the entry's warnings, with its colour and escaped name computed once.  The
+document's group order is fixed regardless of that pass: warnings, frame,
+curves, overlays, legend, so every overlay draws over every curve.
+
 Optional per-test overlays, drawn from the test's ``build_test_report``:
 
 * threshold: vertical line at phi_e with dashed guides to the axes;
@@ -134,50 +139,33 @@ def render_screening_plane(spec: PlotSpec) -> str:
 
     ticks = [k / 5.0 for k in range(6)]
     ox, oy = x(0.0), y(0.0)
-    warnings: list[str] = []
-    body = [
-        f'<rect x="0" y="0" width="{spec.width_px}" height="{spec.height_px}" fill="#ffffff"/>',
-        '<g class="grid" stroke="#dddddd" stroke-width="1">',
-        *(line for t in ticks[1:5]
-          for line in (_line("", x(t), oy, x(t), y(1.0)), _line("", ox, y(t), x(1.0), y(t)))),
-        "</g>",
-        f'<rect class="frame" x="{ox:.2f}" y="{y(1.0):.2f}" width="{plot_w:.2f}" '
-        f'height="{plot_h:.2f}" fill="none" stroke="#333333" stroke-width="1"/>',
-        '<g class="ticks" font-family="sans-serif" font-size="12" fill="#333333">',
-        *(text for t in ticks
-          for text in (_text("", x(t), oy + 16.0, f"{t:.1f}", ' text-anchor="middle"'),
-                       _text("", ox - 8.0, y(t) + 4.0, f"{t:.1f}", ' text-anchor="end"'))),
-        "</g>",
-        '<g class="axis-labels" font-family="sans-serif" font-size="14" fill="#000000">',
-        _text("", x(0.5), spec.height_px - 10.0, "prevalence φ", ' text-anchor="middle"'),
-        _text("", 16.0, y(0.5), "positive predictive value ρ(φ)",
-              f' text-anchor="middle" transform="rotate(-90 16.00 {y(0.5):.2f})"'),
-        "</g>",
-    ]
-
-    # Curves.
-    body.append('<g class="curves" fill="none" stroke-width="1.5">')
     # The grid of curve_samples: every entry shares its x column, formatted once.
     phis = _grid(spec.samples)
     columns = [f"{x(phi):.2f}," for phi in phis]
+    overlaid = spec.show_threshold or spec.show_chords or spec.show_beta
+    lx = _MARGIN_LEFT + 12.0
+    warnings: list[str] = []
+    curves: list[str] = []
+    legend: list[str] = []
+    overlays: list[str] = []
     for i, entry in enumerate(spec.entries):
+        color, name = PALETTE[i % len(PALETTE)], _xml_escape(entry.name)
         # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
         # y(rho) inlined: the same expression and bytes.
         points = [f"{column}{_MARGIN_TOP + (1.0 - rho) * plot_h:.2f}"
                   for column, rho in zip(columns, _rhos(entry.test, phis)) if rho is not None]
         if len(points) >= 2:
-            body.append(
-                f'<polyline class="curve" id="curve-{i}" '
-                f'data-name="{_xml_escape(entry.name)}" stroke="{PALETTE[i % len(PALETTE)]}" '
-                f'points="{" ".join(points)}"/>'
-            )
-    body.append("</g>")
-
-    # Overlays, per entry, fixed order: threshold, chords, beta.
-    body.append('<g class="overlays" font-family="sans-serif" font-size="13">')
-    overlaid = spec.show_threshold or spec.show_chords or spec.show_beta
-    for i, entry in enumerate(spec.entries if overlaid else ()):
-        color = PALETTE[i % len(PALETTE)]
+            curves.append(f'<polyline class="curve" id="curve-{i}" data-name="{name}" '
+                          f'stroke="{color}" points="{" ".join(points)}"/>')
+        # Legend row, top-left corner of the plot box.
+        ly = _MARGIN_TOP + 16.0 + 18.0 * i
+        legend += [
+            _line("", lx, ly - 4.0, lx + 24.0, ly - 4.0, f' stroke="{color}" stroke-width="2"'),
+            _text("", lx + 30.0, ly, name, ' fill="#000000"'),
+        ]
+        if not overlaid:
+            continue
+        # Overlays, fixed order: threshold, chords, beta.
         report = build_test_report(entry.test, strict=False)
         point, reasons = report.threshold, report.absent_reasons
         # Beta also needs the threshold point; its own reason comes first.
@@ -198,16 +186,16 @@ def render_screening_plane(spec: PlotSpec) -> str:
         dashed = f'stroke="{color}" stroke-dasharray="5 3" '
         solid = f'stroke="{color}" stroke-width="1" '
         if spec.show_threshold:
-            body += [
+            overlays += [
                 _line(f'class="threshold" {dashed}', tx, oy, tx, ty),
                 _line(f'class="threshold-guide" {dashed}', ox, ty, tx, ty),
                 _text(f'class="threshold-label" fill="{color}" ', tx + 4.0, oy - 6.0, "φ_e"),
             ]
         beta = spec.show_beta and report.beta is not None
         if spec.show_chords or beta:
-            body.append(_line(f'class="origin-chord" {solid}', ox, oy, tx, ty))
+            overlays.append(_line(f'class="origin-chord" {solid}', ox, oy, tx, ty))
         if spec.show_chords:
-            body.append(_line(f'class="endpoint-chord" {solid}', tx, ty, x(1.0), y(1.0)))
+            overlays.append(_line(f'class="endpoint-chord" {solid}', tx, ty, x(1.0), y(1.0)))
         if not beta:
             continue
         # Angle arc at the origin, from the chord direction up to the
@@ -216,26 +204,14 @@ def render_screening_plane(spec: PlotSpec) -> str:
         norm = math.hypot(dx, dy)
         sx = ox + _ARC_RADIUS * dx / norm
         sy = oy + _ARC_RADIUS * dy / norm
-        body.append(f'<path class="beta-arc" fill="none" {solid}d="M {sx:.2f} {sy:.2f} A '
-                    f'{_ARC_RADIUS:.2f} {_ARC_RADIUS:.2f} 0 0 0 {ox:.2f} {oy - _ARC_RADIUS:.2f}"/>')
+        overlays.append(f'<path class="beta-arc" fill="none" {solid}d="M {sx:.2f} {sy:.2f} A '
+                        f'{_ARC_RADIUS:.2f} {_ARC_RADIUS:.2f} 0 0 0 {ox:.2f} '
+                        f'{oy - _ARC_RADIUS:.2f}"/>')
         mid_angle = 0.5 * (math.atan2(dy, dx) - math.pi / 2.0)
-        lx = ox + (_ARC_RADIUS + 14.0) * math.cos(mid_angle)
-        ly = oy + (_ARC_RADIUS + 14.0) * math.sin(mid_angle)
-        body.append(_text(f'class="beta-label" fill="{color}" text-anchor="middle" ',
-                          lx, ly + 4.0, "β"))
-    body.append("</g>")
-
-    # Legend, entry order, top-left corner of the plot box.
-    body.append('<g class="legend" font-family="sans-serif" font-size="13">')
-    lx = _MARGIN_LEFT + 12.0
-    for i, entry in enumerate(spec.entries):
-        ly = _MARGIN_TOP + 16.0 + 18.0 * i
-        body += [
-            _line("", lx, ly - 4.0, lx + 24.0, ly - 4.0,
-                  f' stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="2"'),
-            _text("", lx + 30.0, ly, _xml_escape(entry.name), ' fill="#000000"'),
-        ]
-    body.append("</g>")
+        bx = ox + (_ARC_RADIUS + 14.0) * math.cos(mid_angle)
+        by = oy + (_ARC_RADIUS + 14.0) * math.sin(mid_angle)
+        overlays.append(_text(f'class="beta-label" fill="{color}" text-anchor="middle" ',
+                              bx, by + 4.0, "β"))
 
     document = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -244,7 +220,26 @@ def render_screening_plane(spec: PlotSpec) -> str:
         f'viewBox="0 0 {spec.width_px} {spec.height_px}">',
         "<title>screening plane: predictive value versus prevalence</title>",
         *warnings,
-        *body,
+        f'<rect x="0" y="0" width="{spec.width_px}" height="{spec.height_px}" fill="#ffffff"/>',
+        '<g class="grid" stroke="#dddddd" stroke-width="1">',
+        *(line for t in ticks[1:5]
+          for line in (_line("", x(t), oy, x(t), y(1.0)), _line("", ox, y(t), x(1.0), y(t)))),
+        "</g>",
+        f'<rect class="frame" x="{ox:.2f}" y="{y(1.0):.2f}" width="{plot_w:.2f}" '
+        f'height="{plot_h:.2f}" fill="none" stroke="#333333" stroke-width="1"/>',
+        '<g class="ticks" font-family="sans-serif" font-size="12" fill="#333333">',
+        *(text for t in ticks
+          for text in (_text("", x(t), oy + 16.0, f"{t:.1f}", ' text-anchor="middle"'),
+                       _text("", ox - 8.0, y(t) + 4.0, f"{t:.1f}", ' text-anchor="end"'))),
+        "</g>",
+        '<g class="axis-labels" font-family="sans-serif" font-size="14" fill="#000000">',
+        _text("", x(0.5), spec.height_px - 10.0, "prevalence φ", ' text-anchor="middle"'),
+        _text("", 16.0, y(0.5), "positive predictive value ρ(φ)",
+              f' text-anchor="middle" transform="rotate(-90 16.00 {y(0.5):.2f})"'),
+        "</g>",
+        '<g class="curves" fill="none" stroke-width="1.5">', *curves, "</g>",
+        '<g class="overlays" font-family="sans-serif" font-size="13">', *overlays, "</g>",
+        '<g class="legend" font-family="sans-serif" font-size="13">', *legend, "</g>",
         "</svg>",
     ]
     return "\n".join(document) + "\n"

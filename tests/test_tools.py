@@ -53,6 +53,40 @@ that is not a docstring
     assert loc.code_lines(source) == 6
 
 
+def test_functions_lists_the_largest_definitions_by_code_lines(loc, tmp_path, capsys):
+    (tmp_path / "mod.py").write_text('''"""Module docstring."""
+
+
+class Box:
+    """Class docstring."""
+
+    size = 1  # code with a comment
+
+    def grow(self):
+        """Method docstring,
+        over two lines."""
+        # A comment.
+
+        self.size += 1
+        return self.size
+
+
+@staticmethod
+def free(x):
+    def inner():
+        return x
+    return inner
+''')
+    assert loc.main(["--functions", "3", str(tmp_path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["definition", "code"]
+    # Box: class, size, def grow, its two statements.  free: the decorator,
+    # def free, def inner, return x, return inner.  Ties go by name.
+    assert [row.split() for row in rows] == [
+        ["mod.Box", "5"], ["mod.free", "5"], ["mod.Box.grow", "3"],
+    ]
+
+
 def test_no_source_line_is_over_100_characters():
     # Code lines count physical lines, so joining lines must not lower them.
     long = [
