@@ -1,6 +1,7 @@
 """Area under the curve, the limit sweep, reports, and the comparator."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -20,10 +21,14 @@ from screencurve import (
     ZeroLRError,
     auc_closed_form,
     auc_quadrature,
+    beta_geometry,
     build_test_report,
     compare_tests,
+    endpoint_chord_line,
     fts_limit_sweep,
+    lr_positive_direct,
     ppv,
+    prevalence_threshold,
 )
 
 from _oracles import (
@@ -347,6 +352,83 @@ class TestReports:
         assert type(caught.value) is error
         assert str(caught.value) == message
         assert caught.value.limit == limit and type(caught.value.limit) is type(limit)
+
+
+#: Each report field and the public function that computes it on its own.
+FIELD_FUNCTIONS = (
+    ("lr_plus", lr_positive_direct),
+    ("threshold", prevalence_threshold),
+    ("beta", beta_geometry),
+    ("endpoint_chord", endpoint_chord_line),
+    ("auc", auc_closed_form),
+)
+
+accuracy = st.floats(min_value=0.0, max_value=1.0)
+zero_or_one = st.sampled_from([0.0, 1.0])
+
+#: Tests from the regions where a field is degenerate or rounds to its limit:
+#: an accuracy of 0 or 1, a subnormal sensitivity, and LR+ below 1e-32.
+edge_tests = st.one_of(
+    st.builds(ScreeningTest, zero_or_one, accuracy),
+    st.builds(ScreeningTest, accuracy, zero_or_one),
+    st.builds(
+        ScreeningTest,
+        st.floats(min_value=0.0, max_value=sys.float_info.min, exclude_max=True),
+        accuracy,
+    ),
+    st.builds(
+        lambda exponent, b: ScreeningTest(10.0**exponent * (1.0 - b), b),
+        st.floats(min_value=-45.0, max_value=-32.0),
+        st.floats(min_value=0.0, max_value=0.999),
+    ),
+)
+
+
+class TestReportFieldsAreTheirFunctions:
+    """Each report field is what its public function returns, or its error's text."""
+
+    @staticmethod
+    def check(test):
+        report = build_test_report(test, strict=False)
+        first_error = None
+        for name, function in FIELD_FUNCTIONS:
+            try:
+                expected = function(test)
+            except DegenerateTestError as exc:
+                assert getattr(report, name) is None, name
+                assert report.absent_reasons[name] == str(exc), name
+                first_error = first_error or exc
+            else:
+                got = getattr(report, name)
+                assert got == expected and type(got) is type(expected), name
+                assert name not in report.absent_reasons, name
+        if first_error is None:
+            assert build_test_report(test, strict=True) == report
+            return
+        # The strict report raises the first undefined field's error itself.
+        with pytest.raises(DegenerateTestError) as caught:
+            build_test_report(test, strict=True)
+        assert type(caught.value) is type(first_error)
+        assert str(caught.value) == str(first_error)
+        assert caught.value.limit == first_error.limit
+        assert type(caught.value.limit) is type(first_error.limit)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0),
+         (1.0, 0.5), (0.5, 0.0), (5e-324, 0.0), (5e-324, 0.5), (5e-324, 1.0),
+         (2.2e-308, 0.5), (1e-40, 0.5), (2e-32, 0.0), (1e-32, 0.0), (0.95, 0.75)],
+    )
+    def test_at_the_edges(self, a, b):
+        self.check(ScreeningTest(a, b))
+
+    @given(test=edge_tests)
+    def test_near_the_limits(self, test):
+        self.check(test)
+
+    @given(a=accuracy, b=accuracy)
+    def test_over_the_unit_square(self, a, b):
+        self.check(ScreeningTest(a, b))
 
 
 class TestCompareTests:
