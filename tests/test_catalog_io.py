@@ -195,6 +195,24 @@ class TestRenderJson:
             render_json({"x": [value]})
 
 
+def as_subclass(record):
+    """A copy of ``record`` as an instance of a subclass of its type, sides included."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    if "first" in fields:
+        fields.update(first=as_subclass(record.first), second=as_subclass(record.second))
+    return type(f"Derived{type(record).__name__}", (type(record),), {})(**fields)
+
+
+#: One record of each report kind: a full and a degenerate test report, a
+#: comparison and a cohort.
+SAMPLE_REPORTS = (
+    build_test_report(ScreeningTest(0.95, 0.75)),
+    build_test_report(ScreeningTest(0.0, 0.5), strict=False),
+    compare_tests(ScreeningTest(0.95, 0.75), ScreeningTest(0.75, 0.95)),
+    simulate_cohort(ScreeningTest(0.95, 0.75), 0.0, 100, 7),
+)
+
+
 class TestEmitReport:
     def test_coin_flip_report(self):
         payload = json.loads(emit_report(build_test_report(ScreeningTest(0.5, 0.5))))
@@ -264,6 +282,24 @@ class TestEmitReport:
     def test_unknown_payload_type(self):
         with pytest.raises(TypeError):
             emit_report(object())
+
+    @pytest.mark.parametrize("report", SAMPLE_REPORTS, ids=lambda r: type(r).__name__)
+    def test_a_subclass_emits_as_its_base(self, report):
+        derived = as_subclass(report)
+        assert type(derived) is not type(report)
+        assert emit_report(derived) == emit_report(report)
+        assert report_text(derived) == report_text(report)
+
+    @pytest.mark.parametrize("report", SAMPLE_REPORTS, ids=lambda r: type(r).__name__)
+    def test_a_namesake_from_another_module_is_refused(self, report):
+        # Same class name and the same fields, but not the package's record.
+        namesake = type(type(report).__name__, (), {
+            "_fields": report._fields, **{name: getattr(report, name) for name in report._fields}
+        })()
+        with pytest.raises(TypeError):
+            emit_report(namesake)
+        with pytest.raises(TypeError):
+            report_text(namesake)
 
     def test_byte_determinism(self):
         report = build_test_report(ScreeningTest(0.85, 0.95))
