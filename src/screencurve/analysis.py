@@ -1,26 +1,8 @@
 """Curve-level analysis: exact area, adaptive quadrature, limits, comparison.
 
-Area under the curve.  With c = 1 - b and d = epsilon - 1 = a - c the curve
-is rho(phi) = a*phi / (c + d*phi), and
-
-    integral_0^1 rho dphi = a/d - (a*c/d^2) * ln(a/c)      for d != 0,
-                          = 1/2                            for d = 0.
-
-The implementation evaluates the algebraically equal form
-
-    (a/c) * (r - ln(1 + r)) / r^2,    r = d/c,
-
-which isolates the cancellation into (r - log1p(r)) and switches to a
-nine-term alternating series
-
-    (a/c) * (1/2 - r/3 + r^2/4 - ... + r^8/10)
-
-for |r| < 0.02 (next term below 1e-16 relative), so values near
-epsilon = 1 are computed to full precision instead of losing digits to the
-subtraction.
-Below r = -1/2 (LR+ = a/c < 1/2) the logarithm is taken of a/c itself:
-1 + r rounds away the low digits of a small a/c, and to zero below
-a/c = 2^-53.
+Area under the curve.  ``auc_closed_form`` returns the closed form that
+``geometry`` derives with every other report quantity (its module docstring
+gives the algebra and the series branch near epsilon = 1).
 
 The quadrature companion is an independent oracle: depth-limited adaptive
 Simpson in plain Python over the curve kernel of ``core``, with error
@@ -50,7 +32,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .geometry import BetaGeometry, ChordLine, ThresholdPoint, _checked, _degenerate, _derive
+from .geometry import BetaGeometry, ChordLine, ThresholdPoint, _area, _checked, _degenerate, _derive
 
 __all__ = [
     "TestReport",
@@ -69,9 +51,6 @@ MIN_QUADRATURE_TOL = 1e-13
 #: Curve-value differences at or below this are treated as numerically zero.
 NEGLIGIBLE_DIFFERENCE = 1e-12
 
-#: |r| = |epsilon - 1| / (1 - b) below which the series branch is used.
-SERIES_SWITCH = 0.02
-
 
 def auc_closed_form(test: ScreeningTest) -> float:
     """Exact area under the curve on [0, 1].
@@ -81,20 +60,7 @@ def auc_closed_form(test: ScreeningTest) -> float:
     sensitivity 0 or specificity 1, carrying the limiting area.
     """
     _checked(_degenerate(test, "area under the curve"))
-    a = test.sensitivity
-    c = 1.0 - test.specificity
-    r = (a - c) / c
-    if r == 0.0:
-        return 0.5
-    if abs(r) < SERIES_SWITCH:
-        # Sum of (-r)^k / (k + 2) for k = 0..8, by Horner's rule.
-        core = 0.0
-        for k in range(10, 1, -1):
-            core = 1.0 / k - r * core
-    else:
-        log_lr = math.log(a / c) if r < -0.5 else math.log1p(r)
-        core = (r - log_lr) / (r * r)
-    return (a / c) * core
+    return _area(test.sensitivity, 1.0 - test.specificity)
 
 
 def auc_quadrature(
@@ -218,11 +184,10 @@ def build_test_report(test: ScreeningTest, strict: bool = True) -> TestReport:
     ``strict=False`` the affected fields are reported as None plus a reason,
     which is what batch processing and the JSON emitter want.
     """
-    auc = _degenerate(test, "area under the curve") or auc_closed_form(test)
     names = ("lr_plus", "threshold", "beta", "endpoint_chord", "auc")
     fields: dict[str, object] = {}
     reasons: dict[str, str] = {}
-    for name, value in zip(names, (*_derive(test), auc)):
+    for name, value in zip(names, _derive(test)):
         if isinstance(value, DegenerateTestError):
             if strict:
                 raise value

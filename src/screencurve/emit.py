@@ -17,7 +17,6 @@ key (``report_text``), so it prints the JSON's own reasons.
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import CurvePoint
@@ -137,27 +136,23 @@ def _cohort_payload(result: CohortResult) -> dict:
     return _with_reasons(fields, reasons)
 
 
-#: (module, class, payload builder) of each report record.  emit imports
-#: neither module: a record exists only once its module is loaded, so its
-#: class is read from there, once per type that reaches ``_builder``.
-_REPORTS = (
-    ("analysis", "TestReport", test_report_payload),
-    ("analysis", "ComparisonReport", _comparison_payload),
-    ("cohort", "CohortResult", _cohort_payload),
-)
-_BUILDERS: dict = {}
+#: The payload builder of each report record, keyed by the record's module and
+#: class name: emit imports neither module, and a record exists only once its
+#: module is loaded.
+_REPORTS = {
+    f"{__package__}.analysis.TestReport": test_report_payload,
+    f"{__package__}.analysis.ComparisonReport": _comparison_payload,
+    f"{__package__}.cohort.CohortResult": _cohort_payload,
+}
 
 
 def _builder(kind: type):
-    """The payload builder of instances of ``kind`` (as isinstance sees them), or None."""
-    if kind not in _BUILDERS:
-        # A module not loaded yields (), and no type is a subclass of ().
-        _BUILDERS[kind] = next(
-            (build for module, name, build in _REPORTS
-             if issubclass(kind, getattr(sys.modules.get(f"{__package__}.{module}"), name, ()))),
-            None,
-        )
-    return _BUILDERS[kind]
+    """The payload builder of ``kind`` or of its nearest base that has one, or None."""
+    for base in kind.__mro__:
+        build = _REPORTS.get(f"{base.__module__}.{base.__qualname__}")
+        if build is not None:
+            return build
+    return None
 
 
 def _payload(report: TestReport | ComparisonReport | CohortResult) -> dict:

@@ -1,4 +1,4 @@
-"""Geometry of the screening plane: threshold point, curve angle, chords.
+"""Geometry of the screening plane: threshold point, curve angle, chords, area.
 
 For a test with sensitivity ``a`` and specificity ``b`` (write c = 1 - b):
 
@@ -28,6 +28,27 @@ For a test with sensitivity ``a`` and specificity ``b`` (write c = 1 - b):
   independently of phi.  ``chords_at`` computes both slopes numerically
   from the curve so that tests can assert this identity rather than assume
   it.
+
+* The area under the curve.  With d = epsilon - 1 = a - c the curve is
+  rho(phi) = a*phi / (c + d*phi), and
+
+      integral_0^1 rho dphi = a/d - (a*c/d^2) * ln(a/c)      for d != 0,
+                            = 1/2                            for d = 0.
+
+  ``_area`` evaluates the algebraically equal form
+
+      (a/c) * (r - ln(1 + r)) / r^2,    r = d/c,
+
+  which isolates the cancellation into (r - ln(1 + r)) and switches to a
+  nine-term alternating series
+
+      (a/c) * (1/2 - r/3 + r^2/4 - ... + r^8/10)
+
+  for |r| < 0.02 (next term below 1e-16 relative), so values near
+  epsilon = 1 are computed to full precision instead of losing digits to
+  the subtraction; at r = 0 the series is 1/2 exactly.  Below r = -1/2
+  (LR+ = a/c < 1/2) the logarithm is taken of a/c itself: 1 + r rounds away
+  the low digits of a small a/c, and to zero below a/c = 2^-53.
 
 Degenerate parameters (a = 0 or b = 1) make these quantities collapse onto
 the boundary of their domains; the operations raise typed errors carrying
@@ -69,6 +90,9 @@ __all__ = [
 
 #: |epsilon - 1| below which the ratio form of the threshold is refused.
 EPSILON_ONE_TOLERANCE = 1e-12
+
+#: |r| = |epsilon - 1| / (1 - b) below which the area's series branch is used.
+SERIES_SWITCH = 0.02
 
 
 def _open_range(default: float = math.inf, **uppers: float):
@@ -190,8 +214,22 @@ def _checked(value):
     return value
 
 
+def _area(a: float, c: float) -> float:
+    """Area under the curve of a test with sensitivity ``a`` > 0 and ``c`` = 1 - b > 0."""
+    r = (a - c) / c
+    if abs(r) < SERIES_SWITCH:
+        # Sum of (-r)^k / (k + 2) for k = 0..8, by Horner's rule.
+        core = 0.0
+        for k in range(10, 1, -1):
+            core = 1.0 / k - r * core
+    else:
+        log_lr = math.log(a / c) if r < -0.5 else math.log1p(r)
+        core = (r - log_lr) / (r * r)
+    return (a / c) * core
+
+
 def _derive(test: ScreeningTest) -> tuple:
-    """(LR+, threshold point, angle geometry, endpoint chord) of ``test``.
+    """(LR+, threshold point, angle geometry, endpoint chord, area) of ``test``.
 
     Each entry is the value, or the DegenerateTestError that its public
     function raises.  The endpoint chord runs through the threshold point,
@@ -200,7 +238,8 @@ def _derive(test: ScreeningTest) -> tuple:
     a, b = test.sensitivity, test.specificity
     if a == 0.0 or b == 1.0:
         threshold = _degenerate(test, "prevalence threshold")
-        return _degenerate(test, "LR+"), threshold, _degenerate(test, "curve angle"), threshold
+        return (_degenerate(test, "LR+"), threshold, _degenerate(test, "curve angle"), threshold,
+                _degenerate(test, "area under the curve"))
     c = 1.0 - b
     root_a, root_c = math.sqrt(a), math.sqrt(c)
     phi_e = root_c / (root_a + root_c)
@@ -223,7 +262,7 @@ def _derive(test: ScreeningTest) -> tuple:
         )
     else:
         beta = BetaGeometry(beta_rad=beta_rad, psi=psi, origin_slope=math.sqrt(a / c))
-    return a / c, threshold, beta, chord
+    return a / c, threshold, beta, chord, _area(a, c)
 
 
 def prevalence_threshold(test: ScreeningTest) -> ThresholdPoint:

@@ -18,7 +18,8 @@ the entry's warnings, with its colour and escaped name computed once.  The
 document's group order is fixed regardless of that pass: warnings, frame,
 curves, overlays, legend, so every overlay draws over every curve.
 
-Optional per-test overlays, drawn from the test's ``build_test_report``:
+Optional per-test overlays, drawn from the threshold point and the angle
+that ``geometry`` derives for the test (the values its report records):
 
 * threshold: vertical line at phi_e with dashed guides to the axes;
 * chords: the origin chord (0,0)->(phi_e, rho_e) and the endpoint chord
@@ -26,9 +27,10 @@ Optional per-test overlays, drawn from the test's ``build_test_report``:
 * beta: the origin chord plus an angle arc at the origin between the chord
   and the vertical, labeled beta (needs both beta and the threshold point).
 
-An overlay the report leaves undefined is skipped and recorded, with the
-report's reason, as an XML comment warning near the top of the document;
-the curve is still drawn as one polyline through its defined samples.
+An overlay whose quantity is undefined is skipped and recorded, with the
+text the report gives as its reason, as an XML comment warning near the top
+of the document; the curve is still drawn as one polyline through its
+defined samples.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from __future__ import annotations
 import math
 import re
 
-from .analysis import build_test_report
 from .catalog import CatalogEntry
 from .core import _grid, _Record, _require_int, _rhos
-from .errors import ParameterError
+from .errors import DegenerateTestError, ParameterError
+from .geometry import _derive
 
 __all__ = ["PALETTE", "PlotSpec", "render_screening_plane"]
 
@@ -93,18 +95,11 @@ class PlotSpec(_Record):
         return value
 
 
-def _xml_escape(text: str) -> str:
-    # Tab, LF and CR as references: a parser turns them into spaces in an
-    # attribute, and CR into LF in text, so the name would not read back.
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-        .replace("\t", "&#9;")
-        .replace("\n", "&#10;")
-        .replace("\r", "&#13;")
-    )
+#: XML escapes for both attributes and text.  Tab, LF and CR become references:
+#: a parser turns them into spaces in an attribute, and CR into LF in text, so
+#: the name would not read back.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                              "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
 
 
 def _comment_safe(text: str) -> str:
@@ -149,7 +144,7 @@ def render_screening_plane(spec: PlotSpec) -> str:
     legend: list[str] = []
     overlays: list[str] = []
     for i, entry in enumerate(spec.entries):
-        color, name = PALETTE[i % len(PALETTE)], _xml_escape(entry.name)
+        color, name = PALETTE[i % len(PALETTE)], entry.name.translate(_XML_ESCAPES)
         # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
         # y(rho) inlined: the same expression and bytes.
         points = [f"{column}{_MARGIN_TOP + (1.0 - rho) * plot_h:.2f}"
@@ -166,21 +161,20 @@ def render_screening_plane(spec: PlotSpec) -> str:
         if not overlaid:
             continue
         # Overlays, fixed order: threshold, chords, beta.
-        report = build_test_report(entry.test, strict=False)
-        point, reasons = report.threshold, report.absent_reasons
-        # Beta also needs the threshold point; its own reason comes first.
-        for overlay, shown, reason in (
-            ("threshold", spec.show_threshold, reasons.get("threshold")),
-            ("chords", spec.show_chords, reasons.get("threshold")),
-            ("beta", spec.show_beta, reasons.get("beta", reasons.get("threshold"))),
+        point, angle = _derive(entry.test)[1:3]
+        # Beta also needs the threshold point; its own error comes first.
+        for overlay, shown, value in (
+            ("threshold", spec.show_threshold, point),
+            ("chords", spec.show_chords, point),
+            ("beta", spec.show_beta, angle if isinstance(angle, DegenerateTestError) else point),
         ):
-            if shown and reason is not None:
+            if shown and isinstance(value, DegenerateTestError):
                 # Entities are not parsed inside XML comments; only "--" is forbidden.
                 warnings.append(
                     f"<!-- warning: {overlay} overlay skipped for "
-                    f"{_comment_safe(entry.name)}: {_comment_safe(reason)} -->"
+                    f"{_comment_safe(entry.name)}: {_comment_safe(str(value))} -->"
                 )
-        if point is None:
+        if isinstance(point, DegenerateTestError):
             continue
         tx, ty = x(point.phi_e), y(point.rho_e)
         dashed = f'stroke="{color}" stroke-dasharray="5 3" '
@@ -191,7 +185,7 @@ def render_screening_plane(spec: PlotSpec) -> str:
                 _line(f'class="threshold-guide" {dashed}', ox, ty, tx, ty),
                 _text(f'class="threshold-label" fill="{color}" ', tx + 4.0, oy - 6.0, "φ_e"),
             ]
-        beta = spec.show_beta and report.beta is not None
+        beta = spec.show_beta and not isinstance(angle, DegenerateTestError)
         if spec.show_chords or beta:
             overlays.append(_line(f'class="origin-chord" {solid}', ox, oy, tx, ty))
         if spec.show_chords:

@@ -320,7 +320,7 @@ REPORTING = "analysis cli core emit errors geometry"
         (["limit-sweep", "--steps", "3"], REPORTING),
         (["catalog", "{catalog}"], "analysis catalog cli core emit errors geometry"),
         (["plot", "--catalog", "{catalog}", "--out", "{svg}"],
-         "analysis catalog cli core errors geometry svgplot"),
+         "catalog cli core errors geometry svgplot"),
         (["simulate", "--sens", "0.9", "--spec", "0.8", "--prev", "0.3", "--n", "100"],
          "cli cohort core emit errors"),
         (["catalog", "{catalog}", "--json"], "analysis catalog cli core emit errors geometry"),
