@@ -194,6 +194,24 @@ class TestRenderJson:
         with pytest.raises(ValueError, match="non-finite"):
             render_json({"x": [value]})
 
+    @pytest.mark.parametrize("value, want", [({}, "{}"), ([], "[]"), ((), "[]")])
+    def test_empty_containers(self, value, want):
+        assert render_json(value) == want
+
+    def test_nested_empty_containers(self):
+        assert render_json({"a": {}, "b": [], "c": ()}) == (
+            '{\n  "a": {},\n  "b": [],\n  "c": []\n}'
+        )
+        assert render_json([{}, [[]], ()]) == "[\n  {},\n  [\n    []\n  ],\n  []\n]"
+
+    @pytest.mark.parametrize("value, name", [
+        (set(), "set"), ({1}, "set"), (object(), "object"), (b"x", "bytes"),
+    ])
+    def test_refuses_unsupported_values_by_type(self, value, name):
+        for document in (value, {"x": [value]}):
+            with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+                render_json(document)
+
 
 def as_subclass(record):
     """A copy of ``record`` as an instance of a subclass of its type, sides included."""

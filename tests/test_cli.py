@@ -469,6 +469,12 @@ class TestCatalogCommand:
         assert payload[1]["lr_plus"] is None
         assert isinstance(payload[1]["lr_plus_reason"], str)
 
+    def test_header_only_catalog(self, tmp_path):
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text("name,sensitivity,specificity\n")
+        assert run(["catalog", str(catalog), "--json"]) == (0, "[]\n", "")
+        assert run(["catalog", str(catalog)]) == (0, "", "")
+
     @pytest.mark.parametrize(
         "argv",
         [["catalog", "{}"], ["plot", "--catalog", "{}", "--out", "-"]],
