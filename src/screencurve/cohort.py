@@ -105,23 +105,12 @@ def _numpy():
     return np, np.uint64(_MIX_1), np.uint64(_MIX_2)
 
 
-@functools.cache
-def _steps(size: int):
-    """Read-only counter offsets 2j * golden (mod 2^64) for j < size.
-
-    Sizes are powers of two, so a small cohort keeps only a small array.
-    """
-    np = _numpy()[0]
-    steps = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK)
-    steps.flags.writeable = False
-    return steps
-
-
 def _buffers(size: int):
     """(steps, words, scratch, sick, hit) for blocks of up to ``size`` subjects.
 
     uint64 arrays of size, 2 * size and 2 * size words, then two bool arrays
-    of size flags, in one allocation; the steps are copied from the cache.
+    of size flags, in one allocation; each call writes the counter offsets
+    2j * golden (mod 2^64), j < size, into the steps.
     """
     import ctypes
 
@@ -136,7 +125,7 @@ def _buffers(size: int):
     w, s, n = line + a // 8, line + (a + b) // 8, 2 * size
     flags = block[line + (a + 2 * b) // 8 :].view(bool)
     steps = block[line : line + size]
-    np.copyto(steps, _steps(1 << (size - 1).bit_length())[:size])
+    np.multiply(np.arange(size, dtype=np.uint64), np.uint64(2 * _GOLDEN & _MASK), out=steps)
     return steps, block[w : w + n], block[s : s + n], flags[:size], flags[c : c + size]
 
 

@@ -156,8 +156,7 @@ _JOINTLY_0_0 = "is indeterminate for {test}: sensitivity 0 and specificity 1 joi
 #: What each derived quantity raises for a degenerate test, as (error class,
 #: message after the quantity's name, limit) when sensitivity is 0 and
 #: specificity 1 together, when only sensitivity is 0, and when only
-#: specificity is 1.  None leaves the quantity defined.  ``{test}`` in a
-#: message stands for ``test.describe()``.
+#: specificity is 1.  ``{test}`` in a message stands for ``test.describe()``.
 _DEGENERATE = {
     "prevalence threshold": (
         (DegenerateTestError, _JOINTLY_0_0, None),
@@ -168,11 +167,6 @@ _DEGENERATE = {
         (DegenerateTestError, _JOINTLY_0_0, None),
         (DegenerateTestError, "is degenerate at sensitivity=0 (limit 0 as sensitivity -> 0)", 0.0),
         (DegenerateTestError, "is degenerate at specificity=1 (limit 0 as specificity -> 1)", 0.0),
-    ),
-    "threshold forms": (
-        (DegenerateTestError, "are 0/0 when sensitivity is 0 and specificity is 1", None),
-        None,
-        None,
     ),
     "curve angle": (
         (DegenerateAngleError, "is indeterminate for {test}", None),
@@ -197,14 +191,9 @@ def _degenerate(test: ScreeningTest, quantity: str) -> DegenerateTestError | Non
     a, b = test.sensitivity, test.specificity
     if a != 0.0 and b != 1.0:
         return None
-    joint = a == 0.0 and b == 1.0
-    case = _DEGENERATE[quantity][0 if joint else 1 if a == 0.0 else 2]
-    if case is None:
-        return None
-    error, message, limit = case
-    if joint:
-        message = message.format(test=test.describe())
-    return error(f"{quantity} {message}", limit=limit)
+    case = 0 if a == 0.0 and b == 1.0 else 1 if a == 0.0 else 2
+    error, message, limit = _DEGENERATE[quantity][case]
+    return error(f"{quantity} {message.format(test=test.describe())}", limit=limit)
 
 
 def _checked(value):
@@ -288,8 +277,11 @@ def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
         DegenerateTestError: when sensitivity 0 and specificity 1 jointly
             make the surd form 0/0.
     """
-    _checked(_degenerate(test, "threshold forms"))
     a, b = test.sensitivity, test.specificity
+    if a == 0.0 and b == 1.0:
+        raise DegenerateTestError(
+            "threshold forms are 0/0 when sensitivity is 0 and specificity is 1"
+        )
     d = test.epsilon - 1.0
     if abs(d) < EPSILON_ONE_TOLERANCE:
         raise EpsilonOneError(

@@ -137,7 +137,6 @@ def render_screening_plane(spec: PlotSpec) -> str:
     # The grid of curve_samples: every entry shares its x column, formatted once.
     phis = _grid(spec.samples)
     columns = [f"{x(phi):.2f}," for phi in phis]
-    overlaid = spec.show_threshold or spec.show_chords or spec.show_beta
     lx = _MARGIN_LEFT + 12.0
     warnings: list[str] = []
     curves: list[str] = []
@@ -158,8 +157,6 @@ def render_screening_plane(spec: PlotSpec) -> str:
             _line("", lx, ly - 4.0, lx + 24.0, ly - 4.0, f' stroke="{color}" stroke-width="2"'),
             _text("", lx + 30.0, ly, name, ' fill="#000000"'),
         ]
-        if not overlaid:
-            continue
         # Overlays, fixed order: threshold, chords, beta.
         point, angle = _derive(entry.test)[1:3]
         # Beta also needs the threshold point; its own error comes first.
