@@ -249,8 +249,8 @@ class TestBufferPlacement:
         gaps.append(offsets[0] + 4096 - offsets[-1])
         assert min(gaps) >= 64
         # The steps are the counter offsets 2j * golden (mod 2^64).
-        golden = np.uint64(2 * 0x9E3779B97F4A7C15 % 2**64)
-        assert np.array_equal(buffers[0], np.arange(size, dtype=np.uint64) * golden)
+        stride = np.uint64(2 * 0x9E3779B97F4A7C15 % 2**64)
+        assert np.array_equal(buffers[0], np.arange(size, dtype=np.uint64) * stride)
 
     def test_counts_past_one_full_block_match_the_oracle(self):
         # 2^20 + 3 subjects: 32 full blocks of 2^15, then a block of three.
