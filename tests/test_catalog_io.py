@@ -54,6 +54,21 @@ class TestParseCatalog:
         with pytest.raises(ParseError):
             parse_catalog("")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "missing header line 'name,sensitivity,specificity'"),
+        ("# only\n", 1, "missing header line 'name,sensitivity,specificity'"),
+        ("\n# c\n\nalpha,0.9,0.8\n", 4,
+         "expected header 'name,sensitivity,specificity', got 'alpha,0.9,0.8'"),
+        ("name,sensitivity,specificity \nb,0.5,0.5\n", 1,
+         "expected header 'name,sensitivity,specificity', got 'name,sensitivity,specificity '"),
+        (" \t\nname,sensitivity,specificity\n\n# x\nb,0.5,2\n", 5,
+         "specificity must lie in [0, 1], got '2'"),
+    ], ids=["empty", "comment-only", "row-first", "header-trailing-space", "row-after-header"])
+    def test_header_errors_cite_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_catalog(text)
+        assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
     def test_wrong_field_count(self):
         with pytest.raises(ParseError) as info:
             parse_catalog("name,sensitivity,specificity\nalpha,0.95\n")

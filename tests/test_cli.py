@@ -884,6 +884,18 @@ class TestDispatchPlumbing:
         assert code == 0
         assert "analyze" in out
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["catalog", "{dir}/bad.csv"], 2, "line 2: sensitivity must lie in [0, 1], got '1.2'"),
+        (["catalog", "{dir}/absent.csv"], 2,
+         "cannot read '{dir}/absent.csv': No such file or directory"),
+        (["analyze", "--sens", "0", "--spec", "0.5"], 1, "LR+ collapses to 0 at sensitivity=0"),
+    ], ids=["parse-error", "input-error", "domain-error"])
+    def test_an_error_is_one_stderr_line_and_its_exit_code(self, tmp_path, argv, code, message):
+        (tmp_path / "bad.csv").write_text("name,sensitivity,specificity\nT1,1.2,0.5\n")
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        message = message.replace("{dir}", str(tmp_path))
+        assert run(argv) == (code, "", f"screencurve: error: {message}\n")
+
     def test_help_and_usage_bytes_are_pinned(self, monkeypatch):
         # argparse wraps help to the terminal width, and its layout differs
         # between Python versions; the pin is CPython 3.11's at 80 columns.

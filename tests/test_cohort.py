@@ -388,6 +388,12 @@ class TestSimulateCohort:
         assert diseased_only.empirical_lr_plus is None
         assert diseased_only.empirical_ppv == pytest.approx(1.0)
 
+    def test_present_estimates_are_returned(self):
+        result = simulate_cohort(ANCHOR, 0.34, 1_000, 1)
+        estimates = (result.empirical_ppv, result.empirical_lr_plus)
+        assert None not in estimates
+        assert (result.require_ppv(), result.require_lr_plus()) == estimates
+
     @pytest.mark.parametrize(
         "sens, spec, phi, ppv_reason, lr_reason",
         [
@@ -452,6 +458,11 @@ class TestEmpiricalCurve:
             positives = cohort.true_pos + cohort.false_pos
             se = math.sqrt(exact * (1.0 - exact) / positives)
             assert abs(point.ppv - exact) <= 4.0 * se
+
+    def test_present_point_requires(self):
+        point = empirical_ppv_curve(ANCHOR, [0.5], 1_000, 1)[0]
+        assert point.ppv is not None
+        assert point.require() == point.ppv
 
     def test_absent_point_requires(self):
         points = empirical_ppv_curve(ScreeningTest(0.0, 1.0), [0.5], 100, 1)

@@ -224,6 +224,15 @@ class TestOverlays:
                 assert "--" not in line[4:-3]
         ET.fromstring(text)
 
+    def test_comment_text_is_pinned(self):
+        # Each run of hyphens becomes one, and each line break one space.
+        entry = CatalogEntry("a--b---c----d\r\ne", ScreeningTest(0.0, 0.5))
+        text = render(entries=(entry,), show_threshold=True)
+        assert [line for line in text.splitlines() if line.startswith("<!--")] == [
+            "<!-- warning: threshold overlay skipped for a-b-c-d  e: prevalence threshold "
+            "is degenerate at sensitivity=0 (limit 1 as sensitivity -> 0) -->"
+        ]
+
     @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\rb"])
     def test_a_warning_stays_on_one_line(self, name):
         entry = CatalogEntry(name, ScreeningTest(0.0, 0.5))
