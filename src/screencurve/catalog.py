@@ -46,20 +46,17 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
     """
     entries: list[CatalogEntry] = []
     seen: dict[str, int] = {}
-    header_seen = False
     # Lines end only where open() would end them: str.splitlines() also breaks
     # at U+0085, U+2028 and other characters a comment or a name may hold.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if not header_seen:
-            if line != HEADER:
-                raise ParseError(
-                    f"expected header {HEADER!r}, got {line!r}", line=line_no
-                )
-            header_seen = True
-            continue
+    content = [(line_no, line) for line_no, line in enumerate(lines, start=1)
+               if line.strip() and not line.lstrip().startswith("#")]
+    if not content:
+        raise ParseError(f"missing header line {HEADER!r}", line=1)
+    (first_no, first), *rows = content
+    if first != HEADER:
+        raise ParseError(f"expected header {HEADER!r}, got {first!r}", line=first_no)
+    for line_no, line in rows:
         fields = line.split(",")
         if len(fields) != 3:
             raise ParseError(
@@ -77,8 +74,6 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         specificity = _parse_value(fields[2].strip(), "specificity", line_no)
         seen[name] = line_no
         entries.append(CatalogEntry(name, ScreeningTest(sensitivity, specificity)))
-    if not header_seen:
-        raise ParseError(f"missing header line {HEADER!r}", line=1)
     return entries
 
 

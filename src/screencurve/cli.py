@@ -292,12 +292,9 @@ def cli_dispatch(
         else:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except (ParseError, ParameterError, _InputError) as exc:
+    except (ScreeningError, _InputError) as exc:
         err.write(f"screencurve: error: {exc}\n")
-        return 2
-    except ScreeningError as exc:
-        err.write(f"screencurve: error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, (ParseError, ParameterError, _InputError)) else 1
     except OSError as exc:  # runners read through _read_text, so this is the write
         target = "standard output" if path is None or path == "-" else repr(path)
         err.write(f"screencurve: error: cannot write {target}: {exc.strerror or exc}\n")

@@ -49,8 +49,6 @@ def render_json(value, indent: int = 0) -> str:
 
     Raises ValueError for an infinite or NaN float, which JSON cannot hold.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -64,19 +62,16 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, str):
         return f'"{_escape(value)}"'
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}"{_escape(str(k))}": {render_json(v, indent + 1)}'
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        brackets = "{}"
+        items = [f'"{_escape(str(k))}": {render_json(v, indent + 1)}' for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [render_json(v, indent + 1) for v in value]
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + f",{inner}".join(items) + "\n" + "  " * indent + brackets[1]
 
 
 #: Text label of each JSON key of a test report or a cohort.  A record's key
@@ -203,8 +198,6 @@ def emit_curve_csv(samples: Iterable[CurvePoint]) -> str:
     lines = ["phi,ppv"]
     # Each row inlines format_real's "%.12g" of float(value).
     for point in samples:
-        if point.rho is None:
-            lines.append(f"{float(point.phi):.12g},")
-        else:
-            lines.append(f"{float(point.phi):.12g},{float(point.rho):.12g}")
+        rho = "" if point.rho is None else f"{float(point.rho):.12g}"
+        lines.append(f"{float(point.phi):.12g},{rho}")
     return "\n".join(lines) + "\n"

@@ -104,11 +104,8 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 def _comment_safe(text: str) -> str:
     # A comment holds no character references, so each line break becomes a
-    # space and a warning stays on one line.
-    text = text.replace("\r", " ").replace("\n", " ")
-    while "--" in text:
-        text = text.replace("--", "-")
-    return text
+    # space and a warning stays on one line; each run of hyphens becomes one.
+    return re.sub("-{2,}", "-", text.replace("\r", " ").replace("\n", " "))
 
 
 def _line(head: str, x1: float, y1: float, x2: float, y2: float, tail: str = "") -> str:
