@@ -147,6 +147,11 @@ def _run_simulate(args: argparse.Namespace) -> str:
     return _report(simulate_cohort(test, args.prev, args.n, args.seed), args)
 
 
+#: The text form's escape of each control character (C0, DEL and C1), so that
+#: a name cannot drive the terminal it prints to.
+_CONTROLS = {c: f"\\u{c:04x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+
 def _run_catalog(args: argparse.Namespace) -> str:
     from .analysis import build_test_report
     from .catalog import parse_catalog
@@ -156,7 +161,8 @@ def _run_catalog(args: argparse.Namespace) -> str:
     if args.json:
         return render_json([{"name": name, **test_report_payload(report)}
                             for name, report in reports]) + "\n"
-    return "\n".join(f"[{name}]\n{report_text(report)}" for name, report in reports)
+    return "\n".join(f"[{name.translate(_CONTROLS)}]\n{report_text(report)}"
+                     for name, report in reports)
 
 
 def _run_limit_sweep(args: argparse.Namespace) -> str:

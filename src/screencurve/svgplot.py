@@ -85,8 +85,12 @@ class PlotSpec(_Record):
 
     @staticmethod
     def _check(name: str, value):
+        if name in _MINIMUM:
+            return _require_int(name, value, _MINIMUM[name])
         if name != "entries":
-            return _require_int(name, value, _MINIMUM[name]) if name in _MINIMUM else value
+            if not isinstance(value, bool):
+                raise ParameterError(f"{name} must be True or False, got {value!r}")
+            return value
         if not value:
             raise ParameterError("a plot needs at least one catalog entry")
         for entry in value:

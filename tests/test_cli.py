@@ -501,6 +501,22 @@ class TestCatalogCommand:
         assert good.returncode == 0, good.stderr
         assert [row["name"] for row in json.loads(good.stdout)] == ["a\u2028b"]
 
+    def test_control_characters_print_escaped_in_the_text_form(self, tmp_path):
+        # C0, DEL and C1 print as \u00XX; quotes, backslash, é, U+2028 and
+        # U+00A0 print as they are.  The JSON form escapes C0 by its own rule.
+        name = 'A\x1b[31mred\x00\x0b\x1f\x7f\x85\x9f q"\\é\u2028\xa0z'
+        catalog = tmp_path / "tests.csv"
+        catalog.write_text(f"name,sensitivity,specificity\n{name},0.9,0.8\n", encoding="utf-8")
+        code, out, err = run(["catalog", str(catalog)])
+        assert (code, err) == (0, "")
+        assert out.split("\n")[0] == (
+            '[A\\u001b[31mred\\u0000\\u000b\\u001f\\u007f\\u0085\\u009f q"\\é\u2028\xa0z]'
+        )
+        code, out, err = run(["catalog", str(catalog), "--json"])
+        assert (code, err) == (0, "")
+        assert '"name": "A\\u001b[31mred\\u0000\\u000b\\u001f\x7f\x85\x9f q\\"\\\\é' in out
+        assert json.loads(out)[0]["name"] == name
+
     def test_negative_zero_prints_as_zero(self, tmp_path):
         catalog = tmp_path / "tests.csv"
         catalog.write_text("name,sensitivity,specificity\nz,-0,-0.0\n")

@@ -55,6 +55,9 @@ CHECKED = [
         "entries": ("at least one catalog entry|XML 1.0",
                     [(), (CatalogEntry("a\x01b", ScreeningTest(0.5, 0.5)),)]),
         "samples": (None, [1, 2.5, True, None]),
+        "show_threshold": (None, ["no", 1, None]),
+        "show_beta": (None, ["no", 1, None]),
+        "show_chords": (None, ["no", 1, None]),
         "width_px": (None, [121, 400.0]),
         "height_px": (None, [107, "300"]),
     }),
