@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from screencurve import (
     CatalogEntry,
     CohortResult,
+    CurvePoint,
     ParameterError,
     ParseError,
     ScreeningTest,
@@ -355,6 +356,23 @@ class TestEmitCurveCsv:
     def test_indeterminate_rows_have_empty_field(self):
         samples = curve_samples(ScreeningTest(0.0, 1.0), 3)
         assert emit_curve_csv(samples) == "phi,ppv\n0,\n0.5,\n1,\n"
+
+    @pytest.mark.parametrize("rhos, rows", [
+        ((None, 0.25, 1.0), "0,\n0.5,0.25\n1,1\n"),
+        ((0.0, None, 1.0), "0,0\n0.5,\n1,1\n"),
+        ((0.0, 0.125, None), "0,0\n0.5,0.125\n1,\n"),
+    ], ids=["first", "middle", "last"])
+    def test_hand_built_points_with_an_undefined_sample(self, rhos, rows):
+        points = [CurvePoint(phi, rho) for phi, rho in zip((0.0, 0.5, 1.0), rhos)]
+        assert emit_curve_csv(points) == "phi,ppv\n" + rows
+
+    def test_a_generator_of_points(self):
+        points = (CurvePoint(k / 4.0, None if k == 2 else k / 8.0) for k in range(5))
+        assert emit_curve_csv(points) == "phi,ppv\n0,0\n0.25,0.125\n0.5,\n0.75,0.375\n1,0.5\n"
+
+    def test_no_points_give_the_header_alone(self):
+        assert emit_curve_csv([]) == "phi,ppv\n"
+        assert emit_curve_csv(iter(())) == "phi,ppv\n"
 
     def test_byte_determinism(self):
         samples = curve_samples(ScreeningTest(0.9, 0.8), 33)

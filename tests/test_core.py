@@ -25,6 +25,8 @@ from screencurve import (
     ppv,
 )
 
+from screencurve.core import _grid, _ppv, _rhos
+
 from _oracles import PPV, ppv_odds_form
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -191,6 +193,19 @@ class TestCurveSamples:
             assert type(point) is CurvePoint
             assert type(point.phi) is float and 0.0 <= point.phi <= 1.0
             assert point.rho is None or (type(point.rho) is float and 0.0 <= point.rho <= 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 257])
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (5e-324, 1.0), (5e-324, 0.5), (0.9, 1.0 - 2.0**-53),
+    ])
+    def test_rhos_are_ppv_at_each_grid_point(self, a, b, n):
+        # The curve's batch form and the single-point form give the same
+        # float, bit for bit, and the same 0/0 positions.
+        grid = _grid(n)
+        expected = [_ppv(a, 1 - b, phi) for phi in grid]
+        got = _rhos(ScreeningTest(a, b), grid)
+        assert [None if r is None else r.hex() for r in got] == \
+            [None if r is None else r.hex() for r in expected]
 
     def test_samples_are_frozen_curve_points(self):
         point = curve_samples(ScreeningTest(0.9, 0.8), 3)[1]

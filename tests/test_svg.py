@@ -156,6 +156,14 @@ class TestCurves:
         assert "a<b>" not in text
         ET.fromstring(text)
 
+    @pytest.mark.parametrize("name", ["100%", "%.2f", "%s", "%%", "%(x)s"])
+    def test_percent_signs_in_names_render_literally(self, name):
+        # The curve's points are formatted through a "%" template; a name
+        # never enters it.
+        root = ET.fromstring(render(entries=(CatalogEntry(name, ScreeningTest(0.5, 0.5)),)))
+        assert root.find(f".//{SVG}polyline").get("data-name") == name
+        assert root.find(f".//{SVG}g[@class='legend']/{SVG}text").text == name
+
     @pytest.mark.parametrize("name", ["a\x01b", "x\ufffey", "\ud800"])
     def test_names_xml_cannot_hold_are_refused(self, name):
         # No character reference encodes these either, so no document can
