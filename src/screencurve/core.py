@@ -76,7 +76,8 @@ def _grid(n: int) -> list[float]:
 def _rhos(test: ScreeningTest, phis: list[float]) -> list[float | None]:
     """rho at each of ``phis``: None where 0/0, else x/y with 0 <= x <= y, y > 0."""
     a, c = test.sensitivity, 1.0 - test.specificity
-    return [_ppv(a, c, phi) for phi in phis]
+    # _ppv's operations in _ppv's order, with no call per sample: the same floats.
+    return [x / y if (y := (x := a * phi) + c * (1.0 - phi)) != 0.0 else None for phi in phis]
 
 
 #: Declared default of a field that gets a fresh ``{}`` per instance;

@@ -195,9 +195,15 @@ def emit_report(report: TestReport | ComparisonReport | CohortResult) -> str:
 
 def emit_curve_csv(samples: Iterable[CurvePoint]) -> str:
     """CSV rows ``phi,ppv`` with an empty ppv field where the value is 0/0."""
-    lines = ["phi,ppv"]
-    # Each row inlines format_real's "%.12g" of float(value).
+    # One pattern per row and one "%" over the whole document: each value is
+    # format_real's "%.12g" of float(value), rho read before phi as a row reads.
+    rows, values = ["phi,ppv"], []
     for point in samples:
-        rho = "" if point.rho is None else f"{float(point.rho):.12g}"
-        lines.append(f"{float(point.phi):.12g},{rho}")
-    return "\n".join(lines) + "\n"
+        if point.rho is None:
+            rows.append("%.12g,")
+            values.append(float(point.phi))
+        else:
+            rho = float(point.rho)
+            rows.append("%.12g,%.12g")
+            values += (float(point.phi), rho)
+    return ("\n".join(rows) + "\n") % tuple(values)

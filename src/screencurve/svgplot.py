@@ -135,9 +135,11 @@ def render_screening_plane(spec: PlotSpec) -> str:
 
     ticks = [k / 5.0 for k in range(6)]
     ox, oy = x(0.0), y(0.0)
-    # The grid of curve_samples: every entry shares its x column, formatted once.
+    # The grid of curve_samples: every entry shares its x columns, formatted once
+    # into one template whose "%.2f" slots take an entry's y values.
     phis = _grid(spec.samples)
-    columns = [f"{x(phi):.2f}," for phi in phis]
+    columns = [f"{x(phi):.2f},%.2f" for phi in phis]
+    template = " ".join(columns)
     lx = _MARGIN_LEFT + 12.0
     warnings: list[str] = []
     curves: list[str] = []
@@ -146,12 +148,15 @@ def render_screening_plane(spec: PlotSpec) -> str:
     for i, entry in enumerate(spec.entries):
         color, name = PALETTE[i % len(PALETTE)], entry.name.translate(_XML_ESCAPES)
         # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
-        # y(rho) inlined: the same expression and bytes.
-        points = [f"{column}{_MARGIN_TOP + (1.0 - rho) * plot_h:.2f}"
-                  for column, rho in zip(columns, _rhos(entry.test, phis)) if rho is not None]
-        if len(points) >= 2:
+        # y(rho) inlined: the same expression and bytes.  One "%" formats every
+        # y; a name never enters the template.
+        rhos = _rhos(entry.test, phis)
+        ys = tuple([_MARGIN_TOP + (1.0 - rho) * plot_h for rho in rhos if rho is not None])
+        if len(ys) >= 2:
+            kept = template if len(ys) == len(rhos) else " ".join(
+                [column for column, rho in zip(columns, rhos) if rho is not None])
             curves.append(f'<polyline class="curve" id="curve-{i}" data-name="{name}" '
-                          f'stroke="{color}" points="{" ".join(points)}"/>')
+                          f'stroke="{color}" points="{kept % ys}"/>')
         # Legend row, top-left corner of the plot box.
         ly = _MARGIN_TOP + 16.0 + 18.0 * i
         legend += [
