@@ -20,11 +20,22 @@ __all__ = ["HEADER", "CatalogEntry", "parse_catalog", "emit_catalog"]
 HEADER = "name,sensitivity,specificity"
 
 
+#: The type each field of a ``CatalogEntry`` must have, and how its error names it.
+_KINDS = {"name": (str, "a string"), "test": (ScreeningTest, "a ScreeningTest")}
+
+
 class CatalogEntry(_Record):
     """One named test of a catalog."""
 
     name: str
     test: ScreeningTest
+
+    @staticmethod
+    def _check(name: str, value):
+        kind, noun = _KINDS[name]
+        if not isinstance(value, kind):
+            raise ParameterError(f"{name} must be {noun}, got {value!r}")
+        return value
 
 
 def _parse_value(field: str, column: str, line_no: int) -> float:

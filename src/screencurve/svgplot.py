@@ -94,6 +94,8 @@ class PlotSpec(_Record):
         if not value:
             raise ParameterError("a plot needs at least one catalog entry")
         for entry in value:
+            if not isinstance(entry, CatalogEntry):
+                raise ParameterError(f"entries must be CatalogEntry records, got {entry!r}")
             if re.search(_NOT_XML_CHAR, entry.name):
                 raise ParameterError(f"name {entry.name!r} holds a character XML 1.0 cannot hold")
         return value

@@ -50,10 +50,14 @@ CHECKED = [
         "slope_origin": (None, [0.0, -1.0, float("inf"), "x", True]),
         "slope_endpoint": (None, [0.0, float("nan"), float("-inf"), None]),
     }),
+    (CatalogEntry, {"name": "A", "test": ScreeningTest(0.9, 0.8)}, {
+        "name": (None, [5, None, b"A", ("A",)]),
+        "test": (None, [(0.5, 0.5), None, "test", ENTRY]),
+    }),
     (PlotSpec, {"entries": (ENTRY,), "samples": 101, "show_threshold": True, "show_beta": False,
                 "show_chords": True, "width_px": 400, "height_px": 300}, {
-        "entries": ("at least one catalog entry|XML 1.0",
-                    [(), (CatalogEntry("a\x01b", ScreeningTest(0.5, 0.5)),)]),
+        "entries": ("at least one catalog entry|XML 1.0|^entries must be CatalogEntry records",
+                    [(), (CatalogEntry("a\x01b", ScreeningTest(0.5, 0.5)),), ("x",)]),
         "samples": (None, [1, 2.5, True, None]),
         "show_threshold": (None, ["no", 1, None]),
         "show_beta": (None, ["no", 1, None]),
