@@ -196,7 +196,8 @@ def emit_report(report: TestReport | ComparisonReport | CohortResult) -> str:
 def emit_curve_csv(samples: Iterable[CurvePoint]) -> str:
     """CSV rows ``phi,ppv`` with an empty ppv field where the value is 0/0."""
     # One pattern per row and one "%" over the whole document: each value is
-    # format_real's "%.12g" of float(value), rho read before phi as a row reads.
+    # format_real's "%.12g" of float(value).  A point's rho is converted before
+    # its phi, so a point with two bad fields raises rho's error.
     rows, values = ["phi,ppv"], []
     for point in samples:
         if point.rho is None:

@@ -24,7 +24,6 @@ from screencurve import (
     epsilon,
     ppv,
 )
-
 from screencurve.core import _grid, _ppv, _rhos
 
 from _oracles import PPV, ppv_odds_form
