@@ -258,6 +258,16 @@ class TestBufferPlacement:
         got = counts(simulate_cohort(ScreeningTest(0.6, 0.85), 0.1, n, seed))
         assert got == cohort_counts(0.6, 0.85, 0.1, n, seed)
 
+    def test_calls_of_changing_sizes_in_one_process_match_the_oracle(self):
+        # Each call leaves its counters in the buffers; the next, smaller or
+        # larger, must count only its own subjects.
+        assert "numpy" in sys.modules
+        calls = [(2000, 0.95, 0.75, 0.34), (7, 0.6, 0.85, 0.5), ((1 << 15) + 1, 0.5, 0.5, 0.1),
+                 (2000, 0.8, 0.9, 0.02), (1, 1.0, 0.0, 0.5)]
+        for seed, (n, a, b, phi) in enumerate(calls):
+            got = counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed))
+            assert got == cohort_counts(a, b, phi, n, seed), (n, a, b, phi)
+
 
 class TestSimulateCohort:
     def test_determinism_pin(self):

@@ -112,6 +112,36 @@ class TestDocumentShape:
             "d45f5c60870a8a48d5278c931f271f61c2eec3e9e90140793ef15e843e337b84"
         )
 
+    @pytest.mark.parametrize("pinned", ["test_bytes_are_pinned", "test_other_sizes_are_pinned"])
+    def test_pins_hold_after_plots_of_other_and_equal_sizes(self, monkeypatch, pinned):
+        # Each pinned spec is drawn right after a plot of another size, then
+        # again right after a plot of its own size (itself): same bytes.
+        plain, drawn = render_screening_plane, []
+
+        def render_after_others(spec):
+            drawn.append(spec)
+            plain(PlotSpec(entries=(ANCHOR_ENTRY,), samples=spec.samples + 1,
+                           width_px=spec.width_px + 1, height_px=spec.height_px))
+            first = plain(spec)
+            assert plain(spec) == first
+            return first
+
+        monkeypatch.setitem(globals(), "render_screening_plane", render_after_others)
+        getattr(self, pinned)()
+        assert drawn
+
+    def test_a_curve_with_an_undefined_sample_after_a_full_one_of_its_size(self):
+        # (0.5, 1.0) is 0/0 at phi = 0, so its polyline keeps two of the
+        # three columns, whatever was drawn before at this size or another.
+        partial = PlotSpec(entries=(CatalogEntry("p", ScreeningTest(0.5, 1.0)),), samples=3)
+        full = PlotSpec(entries=(ANCHOR_ENTRY,), samples=3)
+        other = PlotSpec(entries=(ANCHOR_ENTRY,), samples=4)
+        render_screening_plane(other)
+        first = render_screening_plane(partial)
+        assert 'points="341.00,20.00 620.00,20.00"' in first
+        render_screening_plane(full)
+        assert render_screening_plane(partial) == first
+
     def test_custom_size(self):
         text = render(width_px=800, height_px=500)
         assert 'viewBox="0 0 800 500"' in text
