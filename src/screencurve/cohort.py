@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from typing import Sequence
 
 from .core import ScreeningTest, _Record, _require_int, _require_probability
@@ -88,6 +89,12 @@ _SWAR_BUDGET = 1 << 19
 #: Subjects the SWAR kernel has simulated in this process.  A lost update
 #: between threads only moves the switch to numpy, which no count depends on.
 _swar_subjects = 0
+
+#: The numpy kernel's kept block: (the ``_CHUNK`` it was built for, its
+#: ``_buffers``), or None before the first call.  A call that finds
+#: ``_kept_lock`` held, on another thread or on re-entry, makes its own.
+_kept = None
+_kept_lock = threading.Lock()
 
 
 def _mix64(z: int) -> int:
@@ -169,28 +176,37 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
 
 def _tally_numpy(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
     """``_tally`` on numpy arrays, in blocks of ``_CHUNK`` subjects."""
+    global _kept
     np = _numpy()[0]
     phi_cut, a_cut, fpr_cut = cutoffs
     chunk = _CHUNK
-    # A block of m subjects holds its disease words in words[:m] and its
-    # test words in words[m:2m], so one pass mixes both.
-    steps, words, scratch, sick_buffer, hit_buffer = _buffers(min(chunk, hi - lo))
-    diseased = true_pos = false_pos = 0
-    for start in range(lo, hi, chunk):
-        m = min(chunk, hi - start)
-        # Subject start + j draws from counters 2(start + j) + 1 and + 2.
-        base = seed + (2 * start + 1) * _GOLDEN
-        disease, test = words[:m], words[m : 2 * m]
-        np.add(steps[:m], np.uint64(base & _MASK), out=disease)
-        np.add(steps[:m], np.uint64((base + _GOLDEN) & _MASK), out=test)
-        _mix_in_place(words[: 2 * m], scratch[: 2 * m])
-        sick = _below(disease, phi_cut, sick_buffer[:m])
-        diseased += int(np.count_nonzero(sick))
-        hit = _below(test, a_cut, hit_buffer[:m])
-        true_pos += int(np.count_nonzero(np.logical_and(hit, sick, out=hit)))
-        hit = _below(test, fpr_cut, hit)
-        false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
-    return diseased, true_pos, false_pos
+    kept = _kept_lock.acquire(blocking=False)
+    try:
+        if kept and (_kept is None or _kept[0] != chunk):
+            _kept = chunk, _buffers(chunk)
+        # A block of m subjects holds its disease words in words[:m] and its
+        # test words in words[m:2m], so one pass mixes both.
+        buffers = _kept[1] if kept else _buffers(min(chunk, hi - lo))
+        steps, words, scratch, sick_buffer, hit_buffer = buffers
+        diseased = true_pos = false_pos = 0
+        for start in range(lo, hi, chunk):
+            m = min(chunk, hi - start)
+            # Subject start + j draws from counters 2(start + j) + 1 and + 2.
+            base = seed + (2 * start + 1) * _GOLDEN
+            disease, test = words[:m], words[m : 2 * m]
+            np.add(steps[:m], np.uint64(base & _MASK), out=disease)
+            np.add(steps[:m], np.uint64((base + _GOLDEN) & _MASK), out=test)
+            _mix_in_place(words[: 2 * m], scratch[: 2 * m])
+            sick = _below(disease, phi_cut, sick_buffer[:m])
+            diseased += int(np.count_nonzero(sick))
+            hit = _below(test, a_cut, hit_buffer[:m])
+            true_pos += int(np.count_nonzero(np.logical_and(hit, sick, out=hit)))
+            hit = _below(test, fpr_cut, hit)
+            false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
+        return diseased, true_pos, false_pos
+    finally:
+        if kept:
+            _kept_lock.release()
 
 
 @functools.cache

@@ -256,10 +256,12 @@ def curve_samples(test: ScreeningTest, n: int) -> list[CurvePoint]:
         ParameterError: if ``n`` is not an integer >= 2.
     """
     phis = _grid(_require_int("n", n, 2))
-    points = [object.__new__(CurvePoint) for _ in phis]
-    for point, phi, rho in zip(points, phis, _rhos(test, phis)):
+    points = []
+    for phi, rho in zip(phis, _rhos(test, phis)):
         # The constructor's checks would return phi and rho unchanged (see
         # _grid and _rhos), so they go straight into the fields its __init__ fills.
+        point = object.__new__(CurvePoint)
         fields = point.__dict__
         fields["phi"], fields["rho"] = phi, rho
+        points.append(point)
     return points

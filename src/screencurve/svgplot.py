@@ -35,6 +35,7 @@ defined samples.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -124,6 +125,13 @@ def _text(head: str, x: float, y: float, text: str, tail: str = "") -> str:
     return f'<text {head}x="{x:.2f}" y="{y:.2f}"{tail}>{text}</text>'
 
 
+@functools.lru_cache(maxsize=1)
+def _x_template(samples: int, width_px: int) -> str:
+    """The curve grid's x columns, ``"x,%.2f"`` each, joined: kept for the last size drawn."""
+    plot_w = width_px - _MARGIN_LEFT - _MARGIN_RIGHT
+    return " ".join([f"{_MARGIN_LEFT + phi * plot_w:.2f},%.2f" for phi in _grid(samples)])
+
+
 def render_screening_plane(spec: PlotSpec) -> str:
     """Render the plane described by ``spec`` to a standalone SVG 1.1 document."""
     plot_w = spec.width_px - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -137,11 +145,10 @@ def render_screening_plane(spec: PlotSpec) -> str:
 
     ticks = [k / 5.0 for k in range(6)]
     ox, oy = x(0.0), y(0.0)
-    # The grid of curve_samples: every entry shares its x columns, formatted once
-    # into one template whose "%.2f" slots take an entry's y values.
+    # The grid of curve_samples: every entry shares its x columns, formatted
+    # once per size into one template whose "%.2f" slots take an entry's y values.
     phis = _grid(spec.samples)
-    columns = [f"{x(phi):.2f},%.2f" for phi in phis]
-    template = " ".join(columns)
+    template = _x_template(spec.samples, spec.width_px)
     lx = _MARGIN_LEFT + 12.0
     warnings: list[str] = []
     curves: list[str] = []
@@ -149,14 +156,16 @@ def render_screening_plane(spec: PlotSpec) -> str:
     overlays: list[str] = []
     for i, entry in enumerate(spec.entries):
         color, name = PALETTE[i % len(PALETTE)], entry.name.translate(_XML_ESCAPES)
-        # rho is 0/0 only in a leading run (b = 1) or at phi = 1 (a = 0): one run.
-        # y(rho) inlined: the same expression and bytes.  One "%" formats every
-        # y; a name never enters the template.
-        rhos = _rhos(entry.test, phis)
-        ys = tuple([_MARGIN_TOP + (1.0 - rho) * plot_h for rho in rhos if rho is not None])
+        # y(rho) of _rhos's rho = u / v inlined, skipping each 0/0: the same
+        # floats and bytes.  One "%" formats every y; a name never enters the
+        # template.  (u and v, not x and y: the walrus binds in this scope.)
+        a, c = entry.test.sensitivity, 1.0 - entry.test.specificity
+        ys = tuple([_MARGIN_TOP + (1.0 - u / v) * plot_h for phi in phis
+                    if (v := (u := a * phi) + c * (1.0 - phi)) != 0.0])
         if len(ys) >= 2:
-            kept = template if len(ys) == len(rhos) else " ".join(
-                [column for column, rho in zip(columns, rhos) if rho is not None])
+            kept = template if len(ys) == len(phis) else " ".join(
+                [column for column, rho in zip(template.split(" "), _rhos(entry.test, phis))
+                 if rho is not None])
             curves.append(f'<polyline class="curve" id="curve-{i}" data-name="{name}" '
                           f'stroke="{color}" points="{kept % ys}"/>')
         # Legend row, top-left corner of the plot box.

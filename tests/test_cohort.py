@@ -268,6 +268,23 @@ class TestBufferPlacement:
             got = counts(simulate_cohort(ScreeningTest(a, b), phi, n, seed))
             assert got == cohort_counts(a, b, phi, n, seed), (n, a, b, phi)
 
+    def test_a_call_that_finds_the_kept_block_busy_makes_its_own(self):
+        # As a call on another thread, or a re-entered one, would find it.
+        with cohort_module._kept_lock:
+            for n in (2000, (1 << 15) + 1):
+                got = counts(simulate_cohort(ANCHOR, 0.34, n, n))
+                assert got == cohort_counts(0.95, 0.75, 0.34, n, n)
+
+    def test_a_small_call_reuses_the_kept_block(self):
+        simulate_cohort(ANCHOR, 0.34, 2000, 1)
+        tracemalloc.start()
+        try:
+            simulate_cohort(ANCHOR, 0.34, 2000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
 
 class TestSimulateCohort:
     def test_determinism_pin(self):
