@@ -92,6 +92,8 @@ class PlotSpec(_Record):
             if not isinstance(value, bool):
                 raise ParameterError(f"{name} must be True or False, got {value!r}")
             return value
+        if not isinstance(value, tuple):
+            raise ParameterError(f"entries must be a tuple of CatalogEntry records, got {value!r}")
         if not value:
             raise ParameterError("a plot needs at least one catalog entry")
         for entry in value:

@@ -56,8 +56,8 @@ CHECKED = [
     }),
     (PlotSpec, {"entries": (ENTRY,), "samples": 101, "show_threshold": True, "show_beta": False,
                 "show_chords": True, "width_px": 400, "height_px": 300}, {
-        "entries": ("at least one catalog entry|XML 1.0|^entries must be CatalogEntry records",
-                    [(), (CatalogEntry("a\x01b", ScreeningTest(0.5, 0.5)),), ("x",)]),
+        "entries": ("at least one catalog entry|XML 1.0|^entries must be (a tuple of )?CatalogEntry",
+                    [(), (CatalogEntry("a\x01b", ScreeningTest(0.5, 0.5)),), ("x",), 5, [ENTRY]]),
         "samples": (None, [1, 2.5, True, None]),
         "show_threshold": (None, ["no", 1, None]),
         "show_beta": (None, ["no", 1, None]),
