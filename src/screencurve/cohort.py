@@ -46,7 +46,11 @@ A load waits for a store still in flight whose address has the same low
 4096, as the allocator placed a call's words and scratch, ran at half
 speed.  ``_buffers`` puts every buffer in one allocation, on a cache line
 (glibc starts such blocks 16 bytes into one, which cost 12-15%) and at
-least 12 cache lines from every other modulo 4096.
+least 12 cache lines from every other modulo 4096.  One such block, sized for
+``_CHUNK`` with its counter steps written once, is kept per process from one
+call to the next, so a small call allocates nothing and a call after a large
+free maps no fresh pages.  A call that finds the kept block busy, on another
+thread or on re-entry, allocates a fresh block of its own.
 """
 
 from __future__ import annotations

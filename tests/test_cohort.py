@@ -366,7 +366,7 @@ class TestSimulateCohort:
     def test_memory_per_call_is_bounded(self):
         # A call allocates its blocks' buffers once, whatever n is; numpy
         # reports its data buffers to tracemalloc.  The warm-up call builds
-        # the cached counter steps.
+        # the kept block, so this bound holds with or without it.
         simulate_cohort(ANCHOR, 0.34, 3_000_000, 1)
         tracemalloc.start()
         try:
