@@ -397,6 +397,31 @@ class TestSimulateCohort:
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
             assert list(pool.map(run, calls)) == expected
 
+    def test_threads_contending_for_the_kept_block_give_the_same_counts(self):
+        # More threads than cores, switching as often as the interpreter
+        # lets them: at most one call at a time may use the kept block, and
+        # every other call counts in a block of its own.
+        from screencurve import cohort as mod
+
+        sizes = [1, 7, 2000, mod._CHUNK + 3]
+        calls = [[(ANCHOR, 0.34, n, 10 * k + j) for j, n in enumerate(sizes * 2)]
+                 for k in range(4)]
+        expected = [[counts(simulate_cohort(*call)) for call in batch] for batch in calls]
+        start = threading.Barrier(len(calls), timeout=60)
+
+        def run(batch):
+            start.wait()
+            return [counts(simulate_cohort(*call)) for call in batch]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(calls)) as pool:
+                assert list(pool.map(run, calls, timeout=60)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert not mod._kept_lock.locked()
+
     def test_absent_estimates_with_reasons(self):
         # A test that never fires yields no positives, hence no PPV estimate.
         silent = simulate_cohort(ScreeningTest(0.0, 1.0), 0.5, 1_000, 1)
