@@ -275,6 +275,24 @@ class TestBufferPlacement:
                 got = counts(simulate_cohort(ANCHOR, 0.34, n, n))
                 assert got == cohort_counts(0.95, 0.75, 0.34, n, n)
 
+    def test_a_call_interrupted_mid_count_leaves_later_calls_exact(self, monkeypatch):
+        # The interrupted call may keep its block or lose it; either way the
+        # next calls count only their own subjects.
+        mixes = itertools.count()
+
+        def fail_on_the_second_block(words, scratch):
+            if next(mixes) == 1:
+                raise RuntimeError("interrupted")
+            _mix_in_place(words, scratch)
+
+        monkeypatch.setattr(cohort_module, "_mix_in_place", fail_on_the_second_block)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            simulate_cohort(ANCHOR, 0.34, (1 << 15) + 3, 3)
+        monkeypatch.undo()
+        for n in (2000, (1 << 15) + 1):
+            got = counts(simulate_cohort(ANCHOR, 0.34, n, n))
+            assert got == cohort_counts(0.95, 0.75, 0.34, n, n)
+
     def test_a_small_call_reuses_the_kept_block(self):
         simulate_cohort(ANCHOR, 0.34, 2000, 1)
         tracemalloc.start()
