@@ -49,8 +49,11 @@ speed.  ``_buffers`` puts every buffer in one allocation, on a cache line
 least 12 cache lines from every other modulo 4096.  One such block, sized for
 ``_CHUNK`` with its counter steps written once, is kept per process from one
 call to the next, so a small call allocates nothing and a call after a large
-free maps no fresh pages.  A call that finds the kept block busy, on another
-thread or on re-entry, allocates a fresh block of its own.
+free maps no fresh pages.  A call takes the block out of ``_kept`` and puts
+it back after its last block, so no two calls ever count in one block.  A
+call that finds none there (another call holds it, on this thread or
+another, or an interrupted call never put it back) builds a full block and
+puts that back in turn; the last call to finish decides which block stays.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 from typing import Sequence
 
 from .core import ScreeningTest, _Record, _require_int, _require_probability
@@ -94,11 +96,10 @@ _SWAR_BUDGET = 1 << 19
 #: between threads only moves the switch to numpy, which no count depends on.
 _swar_subjects = 0
 
-#: The numpy kernel's kept block: (the ``_CHUNK`` it was built for, its
-#: ``_buffers``), or None before the first call.  A call that finds
-#: ``_kept_lock`` held, on another thread or on re-entry, makes its own.
-_kept = None
-_kept_lock = threading.Lock()
+#: The numpy kernel's kept ``_buffers``, by the ``_CHUNK`` each was built for.
+#: A call pops its block (one atomic step) and puts it back when done, so no
+#: two calls count in one block (module docstring).
+_kept = {}
 
 
 def _mix64(z: int) -> int:
@@ -120,16 +121,14 @@ def _buffers(size: int):
     """(steps, words, scratch, sick, hit) for blocks of up to ``size`` subjects.
 
     uint64 arrays of size, 2 * size and 2 * size words, then two bool arrays
-    of size flags, in one allocation; each call writes the counter offsets
-    2j * golden (mod 2^64), j < size, into the steps.
+    of size flags, in one allocation; each block gets the counter offsets
+    2j * golden (mod 2^64), j < size, written into its steps once.
     """
-    import ctypes
-
     np = _numpy()[0]
     # The spare words cover the skips: under 64 bytes to the block's first
     # cache line, ``line`` words in, and under 4096 before each later buffer.
     block = np.empty(42 * size // 8 + 2057, dtype=np.uint64)
-    line = -ctypes.addressof(ctypes.c_char.from_buffer(block)) % 64 // 8
+    line = -block.__array_interface__["data"][0] % 64 // 8
     # Buffer k starts 832 * k bytes (13 cache lines) past that line, modulo
     # 4096, so a buffer of x bytes takes x + (832 - x) % 4096 of the block.
     a, b, c = (x + (832 - x) % 4096 for x in (8 * size, 16 * size, size))
@@ -180,37 +179,30 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
 
 def _tally_numpy(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
     """``_tally`` on numpy arrays, in blocks of ``_CHUNK`` subjects."""
-    global _kept
     np = _numpy()[0]
     phi_cut, a_cut, fpr_cut = cutoffs
     chunk = _CHUNK
-    kept = _kept_lock.acquire(blocking=False)
-    try:
-        if kept and (_kept is None or _kept[0] != chunk):
-            _kept = chunk, _buffers(chunk)
-        # A block of m subjects holds its disease words in words[:m] and its
-        # test words in words[m:2m], so one pass mixes both.
-        buffers = _kept[1] if kept else _buffers(min(chunk, hi - lo))
-        steps, words, scratch, sick_buffer, hit_buffer = buffers
-        diseased = true_pos = false_pos = 0
-        for start in range(lo, hi, chunk):
-            m = min(chunk, hi - start)
-            # Subject start + j draws from counters 2(start + j) + 1 and + 2.
-            base = seed + (2 * start + 1) * _GOLDEN
-            disease, test = words[:m], words[m : 2 * m]
-            np.add(steps[:m], np.uint64(base & _MASK), out=disease)
-            np.add(steps[:m], np.uint64((base + _GOLDEN) & _MASK), out=test)
-            _mix_in_place(words[: 2 * m], scratch[: 2 * m])
-            sick = _below(disease, phi_cut, sick_buffer[:m])
-            diseased += int(np.count_nonzero(sick))
-            hit = _below(test, a_cut, hit_buffer[:m])
-            true_pos += int(np.count_nonzero(np.logical_and(hit, sick, out=hit)))
-            hit = _below(test, fpr_cut, hit)
-            false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
-        return diseased, true_pos, false_pos
-    finally:
-        if kept:
-            _kept_lock.release()
+    buffers = _kept.pop(chunk, None) or _buffers(chunk)
+    # A block of m subjects holds its disease words in words[:m] and its
+    # test words in words[m:2m], so one pass mixes both.
+    steps, words, scratch, sick_buffer, hit_buffer = buffers
+    diseased = true_pos = false_pos = 0
+    for start in range(lo, hi, chunk):
+        m = min(chunk, hi - start)
+        # Subject start + j draws from counters 2(start + j) + 1 and + 2.
+        base = seed + (2 * start + 1) * _GOLDEN
+        disease, test = words[:m], words[m : 2 * m]
+        np.add(steps[:m], np.uint64(base & _MASK), out=disease)
+        np.add(steps[:m], np.uint64((base + _GOLDEN) & _MASK), out=test)
+        _mix_in_place(words[: 2 * m], scratch[: 2 * m])
+        sick = _below(disease, phi_cut, sick_buffer[:m])
+        diseased += int(np.count_nonzero(sick))
+        hit = _below(test, a_cut, hit_buffer[:m])
+        true_pos += int(np.count_nonzero(np.logical_and(hit, sick, out=hit)))
+        hit = _below(test, fpr_cut, hit)
+        false_pos += int(np.count_nonzero(np.greater(hit, sick, out=hit)))
+    _kept[chunk] = buffers
+    return diseased, true_pos, false_pos
 
 
 @functools.cache

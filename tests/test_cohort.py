@@ -270,10 +270,14 @@ class TestBufferPlacement:
 
     def test_a_call_that_finds_the_kept_block_busy_makes_its_own(self):
         # As a call on another thread, or a re-entered one, would find it.
-        with cohort_module._kept_lock:
+        simulate_cohort(ANCHOR, 0.34, 2000, 1)
+        held = cohort_module._kept.pop(cohort_module._CHUNK)
+        try:
             for n in (2000, (1 << 15) + 1):
                 got = counts(simulate_cohort(ANCHOR, 0.34, n, n))
                 assert got == cohort_counts(0.95, 0.75, 0.34, n, n)
+        finally:
+            cohort_module._kept[cohort_module._CHUNK] = held
 
     def test_a_call_interrupted_mid_count_leaves_later_calls_exact(self, monkeypatch):
         # The interrupted call may keep its block or lose it; either way the
@@ -438,7 +442,7 @@ class TestSimulateCohort:
                 assert list(pool.map(run, calls, timeout=60)) == expected
         finally:
             sys.setswitchinterval(interval)
-        assert not mod._kept_lock.locked()
+        assert mod._CHUNK in mod._kept
 
     def test_absent_estimates_with_reasons(self):
         # A test that never fires yields no positives, hence no PPV estimate.
