@@ -8,7 +8,10 @@ declaration order.
 import itertools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from screencurve import (
@@ -20,6 +23,10 @@ from screencurve import (
     PlotSpec,
     ScreeningTest,
     ThresholdPoint,
+    chords_at,
+    empirical_ppv_curve,
+    ppv,
+    simulate_cohort,
 )
 
 ENTRY = CatalogEntry("A", ScreeningTest(0.9, 0.8))
@@ -29,11 +36,11 @@ ENTRY = CatalogEntry("A", ScreeningTest(0.9, 0.8))
 #: (None: it starts with the field's name) and the bad values.
 CHECKED = [
     (ScreeningTest, {"sensitivity": 0.9, "specificity": 0.8}, {
-        "sensitivity": (None, [1.5, -0.1, float("nan"), "x", True]),
+        "sensitivity": (None, [1.5, -0.1, float("nan"), "x", True, "0.5", b"0.5"]),
         "specificity": (None, [-0.5, float("inf"), None, False]),
     }),
     (CurvePoint, {"phi": 0.5, "rho": 0.75}, {
-        "phi": (None, [2.0, -1e-300, None, "x"]),
+        "phi": (None, [2.0, -1e-300, None, "x", "0.5"]),
         "rho": (None, [1.5, float("nan"), "x"]),
     }),
     (ThresholdPoint, {"phi_e": 0.25, "rho_e": 0.5}, {
@@ -113,3 +120,27 @@ def test_geometry_records_refuse_bad_values_with_a_typed_error(call):
     # Each once raised a bare TypeError or was accepted.
     with pytest.raises(ParameterError, match=r"must lie in \(0, "):
         call()
+
+
+#: The calls that take a prevalence, each given ``phi`` in its own way.
+PREVALENCE_CALLS = {
+    "ppv": lambda phi: ppv(ENTRY.test, phi),
+    "simulate_cohort": lambda phi: simulate_cohort(ENTRY.test, phi, 10, 1),
+    "chords_at": lambda phi: chords_at(ENTRY.test, phi),
+    "empirical_ppv_curve": lambda phi: empirical_ppv_curve(ENTRY.test, [phi], 10, 1),
+}
+
+
+@pytest.mark.parametrize("call", PREVALENCE_CALLS.values(), ids=PREVALENCE_CALLS.keys())
+@pytest.mark.parametrize("text", ["0.3", b"0.3", bytearray(b"0.3")], ids=repr)
+def test_a_prevalence_given_as_text_is_refused(call, text):
+    # float() parses each of these; a probability must be a number.
+    with pytest.raises(ParameterError, match=r"must be a real number, got "):
+        call(text)
+
+
+@pytest.mark.parametrize("call", PREVALENCE_CALLS.values(), ids=PREVALENCE_CALLS.keys())
+def test_exact_and_numpy_reals_stay_accepted_as_probabilities(call):
+    reals = [Fraction(3, 10), Decimal("0.3"), np.float64(0.3), np.float32(0.5)]
+    assert [call(phi) for phi in reals] == [call(float(phi)) for phi in reals]
+    assert ScreeningTest(Fraction(9, 10), Decimal("0.8")) == ENTRY.test
