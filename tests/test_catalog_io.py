@@ -70,6 +70,12 @@ class TestParseCatalog:
             parse_catalog(text)
         assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan"])
+    def test_nan_cell_gives_the_range_message(self, cell):
+        with pytest.raises(ParseError) as info:
+            parse_catalog(f"name,sensitivity,specificity\nT1,{cell},0.5\n")
+        assert str(info.value) == f"line 2: sensitivity must lie in [0, 1], got {cell!r}"
+
     def test_wrong_field_count(self):
         with pytest.raises(ParseError) as info:
             parse_catalog("name,sensitivity,specificity\nalpha,0.95\n")

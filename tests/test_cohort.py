@@ -23,7 +23,7 @@ from screencurve import (
 from screencurve import cohort as cohort_module
 from screencurve.cohort import _mix_in_place
 
-from _oracles import MC_PPV_9575_AT_034, cohort_counts, seed_for_output
+from _oracles import MC_PPV_9575_AT_034, cohort_counts, seed_for_output, splitmix64_next
 
 ANCHOR = ScreeningTest(0.95, 0.75)
 
@@ -74,6 +74,16 @@ EDGE_SPECIFICITIES = [1.0, 0.0, 0.5, 2.0**-53, 1.0 - 2.0**-53]
 #: 2^-53 is 0 for the first two, 2^-53 at 2048, 1/2 - 2^-53 and 1/2 at
 #: 2^63 - 1 and 2^63, 1 - 2^-52 and 1 - 2^-53 at the last three.
 EDGE_WORDS = [0, 2047, 2048, 2**63 - 1, 2**63, 2**64 - 2049, 2**64 - 2048, 2**64 - 1]
+
+
+class TestFinalizer:
+    """``_mix64`` against the oracle's sequential splitmix64 step."""
+
+    def test_mix64_is_the_oracle_finalizer_on_edge_words(self):
+        # splitmix64_next adds the golden gamma to its state, then mixes.
+        for word in EDGE_WORDS:
+            state = (word - 0x9E3779B97F4A7C15) % 2**64
+            assert cohort_module._mix64(word) == splitmix64_next(state)[1], word
 
 
 class TestGoldenCounts:

@@ -53,6 +53,14 @@ class TestScreeningTest:
         with pytest.raises(ParameterError):
             ScreeningTest(0.5, bad)
 
+    def test_nan_gives_the_range_message(self):
+        with pytest.raises(ParameterError) as info:
+            ScreeningTest(float("nan"), 0.5)
+        assert str(info.value) == "sensitivity must lie in [0, 1], got nan"
+        with pytest.raises(ParameterError) as info:
+            ScreeningTest(0.5, float("nan"))
+        assert str(info.value) == "specificity must lie in [0, 1], got nan"
+
     @pytest.mark.parametrize("flag", [True, False, numpy.True_, numpy.False_])
     def test_rejects_booleans(self, flag):
         with pytest.raises(ParameterError, match="must be a real number"):
