@@ -1,6 +1,11 @@
-"""``tools/loc.py``, which prints the size of each module of the package."""
+"""``tools/loc.py``, which prints the size of each module of the package, and
+``tools/digest.py``, which prints one SHA-256 over its outputs."""
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +101,16 @@ def test_no_source_line_is_over_100_characters():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_digest_prints_one_sha256_line_the_same_on_two_runs():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    command = [sys.executable, str(ROOT / "tools" / "digest.py")]
+    runs = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=env) for _ in range(2)]
+    outputs = [run.communicate(timeout=120) for run in runs]
+    assert [(run.returncode, err) for run, (_, err) in zip(runs, outputs)] == [(0, "")] * 2
+    first, second = (out for out, _ in outputs)
+    assert re.fullmatch(r"[0-9a-f]{64}\n", first)
+    assert second == first
