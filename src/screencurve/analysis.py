@@ -60,7 +60,7 @@ def auc_closed_form(test: ScreeningTest) -> float:
     sensitivity 0 or specificity 1, carrying the limiting area.
     """
     _checked(_degenerate(test, "area under the curve"))
-    return _area(test.sensitivity, 1.0 - test.specificity)
+    return _area(test.sensitivity, test.false_positive_rate)
 
 
 def auc_quadrature(
@@ -86,7 +86,7 @@ def auc_quadrature(
     _require_int("max_depth", max_depth, 1)
     _checked(_degenerate(test, "area under the curve"))
     a = test.sensitivity
-    c = 1.0 - test.specificity
+    c = test.false_positive_rate
 
     # (left, right, f(left), f(mid), f(right), Simpson estimate, error budget)
     f_left, f_mid, f_right = _ppv(a, c, 0.0), _ppv(a, c, 0.5), _ppv(a, c, 1.0)
@@ -233,8 +233,7 @@ def compare_tests(
 
     report_1 = report_or_blame(first, "first")
     report_2 = report_or_blame(second, "second")
-    eps_1, eps_2 = report_1.epsilon, report_2.epsilon
-    equal = abs(eps_2 - eps_1) <= eps_tol
+    gap = report_2.epsilon - report_1.epsilon
 
     assert report_1.lr_plus is not None and report_2.lr_plus is not None
     assert report_1.beta is not None and report_2.beta is not None
@@ -248,8 +247,8 @@ def compare_tests(
     return ComparisonReport(
         first=report_1,
         second=report_2,
-        equal_epsilon=equal,
-        epsilon_difference=eps_2 - eps_1,
+        equal_epsilon=abs(gap) <= eps_tol,
+        epsilon_difference=gap,
         dominant=dominant,
         beta_order=_ordering(report_1.beta.beta_rad, report_2.beta.beta_rad, "smaller"),
         auc_order=_ordering(report_1.auc, report_2.auc, "larger"),

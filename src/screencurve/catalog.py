@@ -9,7 +9,6 @@ Documents are UTF-8 text.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .core import ScreeningTest, _Record
@@ -43,7 +42,7 @@ def _parse_value(field: str, column: str, line_no: int) -> float:
         value = float(field)
     except ValueError:
         raise ParseError(f"{column} is not a decimal number: {field!r}", line=line_no) from None
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
         raise ParseError(f"{column} must lie in [0, 1], got {field!r}", line=line_no)
     return value
 

@@ -102,11 +102,16 @@ _swar_subjects = 0
 _kept = {}
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer on one 64-bit integer (wraps mod 2^64)."""
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK
-    return z ^ (z >> 31)
+def _mix64(z: int, low: int = _MASK) -> int:
+    """splitmix64 finalizer on one 64-bit word, or on every lane of a SWAR int.
+
+    ``low`` masks each step: 2^64 - 1 for one word (wrapping it mod 2^64), or
+    the low half of every 128-bit lane of ``z``, as ``_tally_swar`` packs it.
+    A shift is masked before its xor, so no lane takes bits from the next.
+    """
+    z = ((z ^ ((z >> 30) & low)) * _MIX_1) & low
+    z = ((z ^ ((z >> 27) & low)) * _MIX_2) & low
+    return z ^ ((z >> 31) & low)
 
 
 @functools.cache
@@ -247,12 +252,7 @@ def _tally_swar(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
             cuts = _complements(phi_cut, a_cut, m)
             fpr_cuts = _complements(0, fpr_cut, m)
         # Subject start + j draws from counters 2(start + j) + 1 and + 2.
-        w = (steps + ((seed + (2 * start + 1) * _GOLDEN) & _MASK) * r) & low
-        w ^= (w >> 30) & low
-        w = (w * _MIX_1) & low
-        w ^= (w >> 27) & low
-        w = (w * _MIX_2) & low
-        w ^= (w >> 31) & low
+        w = _mix64((steps + ((seed + (2 * start + 1) * _GOLDEN) & _MASK) * r) & low, low)
         # Bit 0 of each disease lane: set when that subject is healthy, when
         # its test misses at a, and when it misses at 1 - b.
         flags = w + cuts
@@ -340,7 +340,7 @@ def simulate_cohort(
     cutoffs = (
         _cutoff(phi),
         _cutoff(test.sensitivity),
-        _cutoff(1.0 - test.specificity),
+        _cutoff(test.false_positive_rate),
     )
     diseased_total, true_pos, false_pos = _tally(seed_value, cutoffs, 0, n)
     healthy_total = n - diseased_total

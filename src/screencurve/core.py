@@ -40,7 +40,7 @@ def _require_probability(name: str, value: float) -> float:
         value = float(value)
     except (TypeError, ValueError):
         raise ParameterError(f"{name} must be a real number, got {value!r}") from None
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
         raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
     return value + 0.0  # -0.0 becomes +0.0; every other value is unchanged
 
@@ -77,7 +77,7 @@ def _grid(n: int) -> list[float]:
 
 def _rhos(test: ScreeningTest, phis: list[float]) -> list[float | None]:
     """rho at each of ``phis``: None where 0/0, else x/y with 0 <= x <= y, y > 0."""
-    a, c = test.sensitivity, 1.0 - test.specificity
+    a, c = test.sensitivity, test.false_positive_rate
     # _ppv's operations in _ppv's order, with no call per sample: the same floats.
     return [x / y if (y := (x := a * phi) + c * (1.0 - phi)) != 0.0 else None for phi in phis]
 
@@ -194,6 +194,7 @@ class ScreeningTest(_Record):
 
     @property
     def false_positive_rate(self) -> float:
+        """1 - specificity, the ``c`` of LR+ = a/c: the one place the package computes it."""
         return 1.0 - self.specificity
 
     def describe(self) -> str:
@@ -233,7 +234,7 @@ def ppv(test: ScreeningTest, phi: float) -> float:
             (phi = 0 with b = 1, phi = 1 with a = 0, or a = 0 and b = 1).
     """
     phi = _require_probability("phi", phi)
-    rho = _ppv(test.sensitivity, 1.0 - test.specificity, phi)
+    rho = _ppv(test.sensitivity, test.false_positive_rate, phi)
     if rho is None:
         raise IndeterminateError(
             "ppv is 0/0 at phi="

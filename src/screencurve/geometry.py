@@ -229,7 +229,7 @@ def _derive(test: ScreeningTest) -> tuple:
         threshold = _degenerate(test, "prevalence threshold")
         return (_degenerate(test, "LR+"), threshold, _degenerate(test, "curve angle"), threshold,
                 _degenerate(test, "area under the curve"))
-    c = 1.0 - b
+    c = test.false_positive_rate
     root_a, root_c = math.sqrt(a), math.sqrt(c)
     phi_e = root_c / (root_a + root_c)
     if phi_e == 1.0:
@@ -288,7 +288,7 @@ def threshold_equivalence_check(test: ScreeningTest) -> tuple[float, float]:
             f"ratio form of the threshold is 0/0 at epsilon={test.epsilon!r}; "
             "the curve is the identity and has unit slope everywhere"
         )
-    c = 1.0 - b
+    c = test.false_positive_rate
     ratio_form = (math.sqrt(a * c) + b - 1.0) / d
     surd_form = math.sqrt(c) / (math.sqrt(a) + math.sqrt(c))
     return ratio_form, surd_form
@@ -313,7 +313,7 @@ def lr_positive_direct(test: ScreeningTest) -> float:
         ZeroLRError: sensitivity 0 (carries 0.0).
     """
     _checked(_degenerate(test, "LR+"))
-    return test.sensitivity / (1.0 - test.specificity)
+    return test.sensitivity / test.false_positive_rate
 
 
 def lr_positive_from_beta(test: ScreeningTest) -> float:
@@ -348,7 +348,7 @@ def chords_at(test: ScreeningTest, phi: float) -> ChordPair:
         )
     _checked(_degenerate(test, "chord pair"))
     a = test.sensitivity
-    c = 1.0 - test.specificity
+    c = test.false_positive_rate
     positives = a * phi
     if positives < sys.float_info.min:
         raise DegenerateTestError(

@@ -128,9 +128,8 @@ def _text(head: str, x: float, y: float, text: str, tail: str = "") -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _x_template(samples: int, width_px: int) -> str:
+def _x_template(samples: int, plot_w: float) -> str:
     """The curve grid's x columns, ``"x,%.2f"`` each, joined: kept for the last size drawn."""
-    plot_w = width_px - _MARGIN_LEFT - _MARGIN_RIGHT
     return " ".join([f"{_MARGIN_LEFT + phi * plot_w:.2f},%.2f" for phi in _grid(samples)])
 
 
@@ -151,7 +150,7 @@ def render_screening_plane(spec: PlotSpec) -> str:
     # whose "%.2f" slots take an entry's y values.  _x_template keeps the last
     # size's, so renders of one size format no x column.
     phis = _grid(spec.samples)
-    template = _x_template(spec.samples, spec.width_px)
+    template = _x_template(spec.samples, plot_w)
     lx = _MARGIN_LEFT + 12.0
     warnings: list[str] = []
     curves: list[str] = []
@@ -162,7 +161,7 @@ def render_screening_plane(spec: PlotSpec) -> str:
         # y(rho) of _rhos's rho = u / v inlined, skipping each 0/0: the same
         # floats and bytes.  One "%" formats every y; a name never enters the
         # template.  (u and v, not x and y: the walrus binds in this scope.)
-        a, c = entry.test.sensitivity, 1.0 - entry.test.specificity
+        a, c = entry.test.sensitivity, entry.test.false_positive_rate
         ys = tuple([_MARGIN_TOP + (1.0 - u / v) * plot_h for phi in phis
                     if (v := (u := a * phi) + c * (1.0 - phi)) != 0.0])
         if len(ys) >= 2:
