@@ -376,9 +376,16 @@ def empirical_ppv_curve(
     the master stream, so points are independent of each other and of the
     grid layout while remaining fully determined by (seed, k).  Points whose
     cohort has no positives are reported with ``ppv=None`` and a reason.
+
+    Raises ParameterError unless ``phis`` is an iterable of probabilities,
+    for n < 1, or for a non-integer seed.
     """
     n = _require_int("n", n, 1)
     seed_value = _normalize_seed(seed)
+    try:
+        phis = iter(phis)
+    except TypeError:
+        raise ParameterError(f"phis must be an iterable of probabilities, got {phis!r}") from None
     prevalences = [_require_probability(f"phis[{k}]", p) for k, p in enumerate(phis)]
 
     points: list[EmpiricalPoint] = []

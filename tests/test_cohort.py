@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -84,6 +85,20 @@ class TestFinalizer:
         for word in EDGE_WORDS:
             state = (word - 0x9E3779B97F4A7C15) % 2**64
             assert cohort_module._mix64(word) == splitmix64_next(state)[1], word
+
+    @pytest.mark.parametrize("lanes", [1, 7, 2 * cohort_module._SWAR_CHUNK])
+    def test_mix64_mixes_each_128_bit_lane_on_its_own(self, lanes):
+        # Words in the low halves of 128-bit lanes, as _tally_swar packs them,
+        # with all-ones and other edge words among them: mixed together under
+        # the lanes' mask, each lane holds its own word's mix and nothing above.
+        rng = random.Random(lanes)
+        words = [rng.choice(EDGE_WORDS) if rng.random() < 0.25 else rng.getrandbits(64)
+                 for _ in range(lanes)]
+        packed = int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
+        low = int.from_bytes(((1 << 64) - 1).to_bytes(16, "little") * lanes, "little")
+        mixed = cohort_module._mix64(packed, low).to_bytes(16 * lanes, "little")
+        got = [int.from_bytes(mixed[16 * k : 16 * k + 16], "little") for k in range(lanes)]
+        assert got == [cohort_module._mix64(w) for w in words]
 
 
 class TestGoldenCounts:
@@ -553,6 +568,12 @@ class TestEmpiricalCurve:
         assert points[0].ppv is None
         with pytest.raises(AbsentEstimateError):
             points[0].require()
+
+    @pytest.mark.parametrize("phis", [0.5, None, 3])
+    def test_a_non_iterable_grid_is_refused_by_name(self, phis):
+        with pytest.raises(ParameterError) as info:
+            empirical_ppv_curve(ANCHOR, phis, 10, 1)
+        assert str(info.value) == f"phis must be an iterable of probabilities, got {phis!r}"
 
     def test_sub_seeds_differ_between_points(self):
         points = empirical_ppv_curve(ANCHOR, [0.5, 0.5], 2_000, 9)
