@@ -36,7 +36,8 @@ subjects this process has simulated, the call's own included, stay within
 ``_SWAR_BUDGET``, about the import's cost in SWAR time; after that it
 imports numpy.  So a cold ``simulate`` at its default n = 10^5 never loads
 numpy, and a long loop of small calls spends at most about one import's
-time in SWAR before it switches.
+time in SWAR before it switches.  Where numpy cannot be imported, every call
+takes the SWAR kernel, with the same counts, and the import is tried once.
 
 Buffers.  A numpy call's buffers, about 1.4 MiB whatever n is, stay in a
 core's 2 MiB L2 cache from one block to the next; larger blocks spill out of
@@ -116,9 +117,14 @@ def _mix64(z: int, low: int = _MASK) -> int:
 
 @functools.cache
 def _numpy():
-    """numpy and the finalizer's uint64 multipliers, imported on first use."""
-    import numpy as np
+    """numpy and the finalizer's uint64 multipliers, imported on first use; None without numpy.
 
+    The result is kept, a failed import's too, so no later call tries again.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        return None
     return np, np.uint64(_MIX_1), np.uint64(_MIX_2)
 
 
@@ -178,6 +184,8 @@ def _tally(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
     global _swar_subjects
     if "numpy" not in sys.modules and _swar_subjects + hi - lo <= _SWAR_BUDGET:
         _swar_subjects += hi - lo
+        return _tally_swar(seed, cutoffs, lo, hi)
+    if _numpy() is None:  # numpy cannot be imported: the SWAR kernel counts alike
         return _tally_swar(seed, cutoffs, lo, hi)
     return _tally_numpy(seed, cutoffs, lo, hi)
 

@@ -19,8 +19,10 @@ a > 0 and b < 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
 
 from .errors import IndeterminateError, ParameterError
 
@@ -40,6 +42,8 @@ def _require_probability(name: str, value: float) -> float:
         value = float(value)
     except (TypeError, ValueError):
         raise ParameterError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int or Fraction beyond float range
+        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}") from None
     if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
         raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
     return value + 0.0  # -0.0 becomes +0.0; every other value is unchanged
@@ -53,9 +57,9 @@ def _require_int(name: str, value: int, minimum: int) -> int:
 
 
 def _require_real(name: str, value: float, minimum: float) -> None:
-    """Validate a finite int or float (not a bool) of at least ``minimum``."""
+    """Validate an int or float (not a bool) of at least ``minimum`` that a float holds finite."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (real and minimum <= value < math.inf):
+    if not (real and minimum <= value <= sys.float_info.max):  # an int compares exactly
         raise ParameterError(f"{name} must be a finite number >= {minimum:g}, got {value!r}")
 
 
@@ -68,14 +72,21 @@ def _ppv(a: float, c: float, phi: float) -> float | None:
     return positives / denominator
 
 
-def _grid(n: int) -> list[float]:
-    """The n prevalences phi_k = k/(n-1) that ``curve_samples`` and the plots sample."""
+@functools.lru_cache(maxsize=2)
+def _grid(n: int) -> tuple[float, ...]:
+    """The n prevalences phi_k = k/(n-1) that ``curve_samples`` and the plots sample.
+
+    One immutable tuple per size, shared by every caller.  The grids of the
+    last two sizes asked for stay in memory (two, so that a run alternating
+    the curve's and the plot's sample counts builds neither again), as
+    ``svgplot._x_template`` keeps the last size's x columns.
+    """
     # k <= n-1 and division rounds monotonically, so 0 <= phi <= 1.
     last = n - 1
-    return [k / last for k in range(n)]
+    return tuple([k / last for k in range(n)])
 
 
-def _rhos(test: ScreeningTest, phis: list[float]) -> list[float | None]:
+def _rhos(test: ScreeningTest, phis: tuple[float, ...]) -> list[float | None]:
     """rho at each of ``phis``: None where 0/0, else x/y with 0 <= x <= y, y > 0."""
     a, c = test.sensitivity, test.false_positive_rate
     # _ppv's operations in _ppv's order, with no call per sample: the same floats.

@@ -223,6 +223,18 @@ def _derive(test: ScreeningTest) -> tuple:
     Each entry is the value, or the DegenerateTestError that its public
     function raises.  The endpoint chord runs through the threshold point,
     so it holds the threshold's error when the threshold is undefined.
+
+    The ``ThresholdPoint`` and ``BetaGeometry`` are built without their
+    ``_check``, which no value here can fail; each equals the record its
+    public constructor builds from the same fields.  Here a > 0 and
+    c = 1 - b >= 2^-53, so sqrt(c) >= 1.05e-8:
+
+    * 0 < phi_e, and phi_e = 1 is turned into an error;
+    * rho_e = sqrt(a) / (sqrt(a) + sqrt(c)) <= 1 / (1 + 1.05e-8) < 1, and
+      rho_e > 0 even for a subnormal a;
+    * beta < pi/2 leaves psi = sqrt(c/a) finite and below 5.9e15, so psi > 0,
+      beta > 0 and origin_slope = sqrt(a/c) > 1e-16; a c/a that overflows
+      gives beta = pi/2, which is turned into an error.
     """
     a, b = test.sensitivity, test.specificity
     if a == 0.0 or b == 1.0:
@@ -239,9 +251,10 @@ def _derive(test: ScreeningTest) -> tuple:
     else:
         # rho_e = 1 - phi_e, taken from the roots: rho(phi_e) loses digits as phi_e -> 1.
         rho_e = root_a / (root_a + root_c)
-        threshold = ThresholdPoint(phi_e=phi_e, rho_e=rho_e)
+        threshold = object.__new__(ThresholdPoint)
+        threshold.__dict__.update(phi_e=phi_e, rho_e=rho_e)
         slope = phi_e / rho_e
-        chord = ChordLine(slope=slope, intercept=1.0 - slope)
+        chord = ChordLine(slope, 1.0 - slope)
     psi = math.sqrt(c / a)
     beta_rad = math.atan(psi)
     if beta_rad == math.pi / 2.0:
@@ -250,7 +263,8 @@ def _derive(test: ScreeningTest) -> tuple:
             limit=math.pi / 2.0,
         )
     else:
-        beta = BetaGeometry(beta_rad=beta_rad, psi=psi, origin_slope=math.sqrt(a / c))
+        beta = object.__new__(BetaGeometry)
+        beta.__dict__.update(beta_rad=beta_rad, psi=psi, origin_slope=math.sqrt(a / c))
     return a / c, threshold, beta, chord, _area(a, c)
 
 

@@ -147,8 +147,8 @@ def render_screening_plane(spec: PlotSpec) -> str:
     ticks = [k / 5.0 for k in range(6)]
     ox, oy = x(0.0), y(0.0)
     # The grid of curve_samples: every entry shares its x columns, one template
-    # whose "%.2f" slots take an entry's y values.  _x_template keeps the last
-    # size's, so renders of one size format no x column.
+    # whose "%.2f" slots take an entry's y values.  _grid and _x_template keep
+    # their sizes' results, so renders of one size build no grid or x column.
     phis = _grid(spec.samples)
     template = _x_template(spec.samples, plot_w)
     lx = _MARGIN_LEFT + 12.0

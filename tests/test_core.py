@@ -16,13 +16,17 @@ from hypothesis import strategies as st
 
 import screencurve
 from screencurve import (
+    CatalogEntry,
     CurvePoint,
     IndeterminateError,
     ParameterError,
+    PlotSpec,
     ScreeningTest,
     curve_samples,
+    emit_curve_csv,
     epsilon,
     ppv,
+    render_screening_plane,
 )
 from screencurve.core import _grid, _ppv, _rhos
 
@@ -144,6 +148,26 @@ class TestCurveSamples:
     def test_grid_and_endpoints(self):
         samples = curve_samples(ScreeningTest(0.5, 0.5), 3)
         assert [(p.phi, p.rho) for p in samples] == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 257, 1000])
+    def test_grid_is_one_tuple_per_size(self, n):
+        grid = _grid(n)
+        assert type(grid) is tuple
+        assert list(grid) == [k / (n - 1) for k in range(n)]
+        assert _grid(n) is grid
+
+    def test_curves_and_plots_keep_their_bytes_after_other_sizes(self):
+        # Each size's grid is kept; a curve or a render of one size reads the
+        # same after calls at other sizes as on a first call with none kept.
+        test = ScreeningTest(0.95, 0.75)
+        spec = PlotSpec(entries=(CatalogEntry("t", test),), samples=101, show_chords=True)
+        _grid.cache_clear()
+        curve, plot = emit_curve_csv(curve_samples(test, 101)), render_screening_plane(spec)
+        for n in (257, 3, 101, 2, 1000):
+            curve_samples(test, n)
+            render_screening_plane(PlotSpec(entries=spec.entries, samples=n))
+            assert emit_curve_csv(curve_samples(test, 101)) == curve
+            assert render_screening_plane(spec) == plot
 
     def test_absent_points_for_jointly_degenerate_test(self):
         samples = curve_samples(ScreeningTest(0.0, 1.0), 5)
@@ -293,13 +317,16 @@ import runpy
 runpy.run_module("screencurve", run_name="__main__", alter_sys=True)
 """
 
-#: An import finder that refuses numpy, put first on ``sys.meta_path``.
+#: An import finder that refuses numpy, put first on ``sys.meta_path``; it
+#: lists each name it refuses in ``refused``.
 REFUSE_NUMPY = """
 import sys
+refused = []
 
 class RefuseNumpy:
     def find_spec(self, name, path=None, target=None):
         if name.split(".")[0] == "numpy":
+            refused.append(name)
             raise ImportError(f"{name} is refused")
 
 sys.meta_path.insert(0, RefuseNumpy())
@@ -312,6 +339,26 @@ def test_simulate_at_its_default_size_runs_without_numpy():
     refused = run_fresh(REFUSE_NUMPY + RUN_THE_PACKAGE, *argv)
     assert '"n": 100000' in refused
     assert refused == run_fresh(RUN_THE_PACKAGE, *argv)
+
+
+def test_simulate_past_the_swar_budget_runs_without_numpy():
+    # Without numpy every call takes the SWAR kernel, which counts alike.
+    argv = ["simulate", "--sens", "0.95", "--spec", "0.75", "--prev", "0.34",
+            "--n", "600000", "--seed", "11", "--json"]
+    refused = run_fresh(REFUSE_NUMPY + RUN_THE_PACKAGE, *argv)
+    assert '"n": 600000' in refused
+    assert refused == run_fresh(RUN_THE_PACKAGE, *argv)
+
+
+def test_a_refused_numpy_import_is_tried_once():
+    out = run_fresh(REFUSE_NUMPY + """
+from screencurve import ScreeningTest, simulate_cohort
+from screencurve.cohort import _SWAR_BUDGET
+counts = {simulate_cohort(ScreeningTest(0.9, 0.8), 0.3, _SWAR_BUDGET // 2 + 1, 5)
+          for _ in range(4)}
+print(len(counts), refused)
+""")
+    assert out == "1 ['numpy']\n"
 
 
 #: Prints the package's loaded submodules (and numpy) after ``import

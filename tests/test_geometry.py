@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screencurve import (
@@ -28,6 +28,8 @@ from screencurve import (
     prevalence_threshold,
     threshold_equivalence_check,
 )
+from screencurve.core import _Record
+from screencurve.geometry import _derive
 
 from _oracles import (
     BETA_7595,
@@ -371,3 +373,42 @@ class TestTinySensitivity:
         assert lr_positive_from_chords(test, phi) == pytest.approx(
             lr_positive_direct(test), rel=1e-12
         )
+
+
+#: (sensitivity, specificity) from each region where the arithmetic is easiest
+#: to get wrong, as ``tools/digest.py`` draws them.
+REGIONS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.tuples(st.floats(-30.0, -3.0).map(lambda e: 10.0**e), st.floats(0.0, 1.0)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-15.9, -3.0).map(lambda e: 1.0 - 10.0**e)),
+    st.tuples(st.floats(0.01, 0.97), st.floats(-0.02, 0.02)).map(
+        lambda draw: (draw[0], 1.0 - draw[0] * (1.0 + draw[1]))),
+    st.integers(0, 1 << 20).map(lambda k: (k / 2.0**20, 1.0 - k / 2.0**20)),
+    st.tuples(st.integers(1, (1 << 52) - 1).map(lambda k: k * 5e-324), st.floats(0.0, 1.0)),
+    st.tuples(st.floats(0.0, 1.0), st.just(1.0 - 2.0**-53)),
+)
+
+
+class TestDeriveRecords:
+    """``_derive`` builds its records without their checks, which none could fail."""
+
+    @staticmethod
+    def assert_records_pass_their_checks(a, b):
+        records = [r for r in _derive(ScreeningTest(a, b)) if isinstance(r, _Record)]
+        for record in records:
+            assert type(record)(**vars(record)) == record
+        return records
+
+    @settings(max_examples=600)
+    @given(REGIONS)
+    def test_every_record_rebuilds_through_its_checked_constructor(self, test):
+        self.assert_records_pass_their_checks(*test)
+
+    @pytest.mark.parametrize("a, b", [
+        (5e-324, 0.0), (5e-324, 1.0 - 2.0**-53), (1.0, 1.0 - 2.0**-53), (1.0, 0.0),
+        (0.5, 0.5), (1.2e-32, 0.0), (1.3e-32, 0.0), (2.9e-32, 0.0), (3.0e-32, 0.0),
+    ])
+    def test_records_at_the_edges_of_their_ranges(self, a, b):
+        # Past 1.3e-32 the threshold is defined, past 3.0e-32 the angle too.
+        records = self.assert_records_pass_their_checks(a, b)
+        assert len(records) == (a >= 1.3e-32) + (a >= 3.0e-32)

@@ -23,8 +23,11 @@ from screencurve import (
     PlotSpec,
     ScreeningTest,
     ThresholdPoint,
+    auc_quadrature,
     chords_at,
+    compare_tests,
     empirical_ppv_curve,
+    lr_positive_from_chords,
     ppv,
     simulate_cohort,
 )
@@ -128,6 +131,7 @@ PREVALENCE_CALLS = {
     "simulate_cohort": lambda phi: simulate_cohort(ENTRY.test, phi, 10, 1),
     "chords_at": lambda phi: chords_at(ENTRY.test, phi),
     "empirical_ppv_curve": lambda phi: empirical_ppv_curve(ENTRY.test, [phi], 10, 1),
+    "lr_positive_from_chords": lambda phi: lr_positive_from_chords(ENTRY.test, phi),
 }
 
 
@@ -144,3 +148,22 @@ def test_exact_and_numpy_reals_stay_accepted_as_probabilities(call):
     reals = [Fraction(3, 10), Decimal("0.3"), np.float64(0.3), np.float32(0.5)]
     assert [call(phi) for phi in reals] == [call(float(phi)) for phi in reals]
     assert ScreeningTest(Fraction(9, 10), Decimal("0.8")) == ENTRY.test
+
+
+#: Each call that reads a number through ``float``, given an int beyond float range.
+BEYOND_FLOAT_CALLS = {
+    **{f"{name}-phi": call for name, call in PREVALENCE_CALLS.items()},
+    "ScreeningTest-sensitivity": lambda big: ScreeningTest(big, 0.5),
+    "ScreeningTest-specificity": lambda big: ScreeningTest(0.5, big),
+    "auc_quadrature-tol": lambda big: auc_quadrature(ENTRY.test, tol=big),
+    "compare_tests-eps_tol": lambda big: compare_tests(ENTRY.test, ENTRY.test, eps_tol=big),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_FLOAT_CALLS.values(), ids=BEYOND_FLOAT_CALLS.keys())
+@pytest.mark.parametrize("big", [10**400, -10**400, Fraction(10**400, 3)],
+                         ids=["int", "-int", "fraction"])
+def test_a_number_beyond_float_range_is_refused(call, big):
+    # float() of each raises OverflowError, which once escaped bare.
+    with pytest.raises(ParameterError, match=r"must (lie in \[0, 1\]|be a finite number)"):
+        call(big)
