@@ -20,7 +20,6 @@ a > 0 and b < 1.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import sys
 
@@ -148,7 +147,11 @@ class _Record:
     fields in order and stores them in ``self.__dict__``.  A record that
     checks its fields defines one hook, ``_check(name, value) -> value``,
     which the constructor calls on each argument in field order, storing what
-    it returns; a record without one stores its arguments as given.
+    it returns; a record without one stores its arguments as given.  Where
+    the package builds a record whose fields are in range by construction
+    (``curve_samples``' points, ``geometry._derive``'s threshold point and
+    angle), it skips ``_check``: ``object.__new__`` and a direct write into
+    ``__dict__``, which equals what the constructor stores.
     Equality, hashing, repr, ``__match_args__`` and ``FrozenInstanceError``
     on setting or deleting an attribute are those of a frozen dataclass, and
     ``dataclasses.fields``, ``replace`` and ``asdict`` work on records.  The

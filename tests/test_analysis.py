@@ -133,7 +133,7 @@ class TestAucQuadrature:
         assert compare_tests(t, ScreeningTest(0.75, 0.95), eps_tol=1).equal_epsilon
         assert compare_tests(t, ScreeningTest(0.75, 0.95), eps_tol=10**308).equal_epsilon
 
-    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, "1e-10"])
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, "1e-10", 10**400])
     def test_tolerances_refuse_what_is_not_a_finite_number(self, bad):
         t = ScreeningTest(0.95, 0.75)
         with pytest.raises(ParameterError, match="tol must be a finite number >= 1e-13"):

@@ -23,9 +23,7 @@ from screencurve import (
     PlotSpec,
     ScreeningTest,
     ThresholdPoint,
-    auc_quadrature,
     chords_at,
-    compare_tests,
     empirical_ppv_curve,
     lr_positive_from_chords,
     ppv,
@@ -39,8 +37,8 @@ ENTRY = CatalogEntry("A", ScreeningTest(0.9, 0.8))
 #: (None: it starts with the field's name) and the bad values.
 CHECKED = [
     (ScreeningTest, {"sensitivity": 0.9, "specificity": 0.8}, {
-        "sensitivity": (None, [1.5, -0.1, float("nan"), "x", True, "0.5", b"0.5"]),
-        "specificity": (None, [-0.5, float("inf"), None, False]),
+        "sensitivity": (None, [1.5, -0.1, float("nan"), "x", True, "0.5", b"0.5", 10**400]),
+        "specificity": (None, [-0.5, float("inf"), None, False, -10**400, Fraction(10**400, 3)]),
     }),
     (CurvePoint, {"phi": 0.5, "rho": 0.75}, {
         "phi": (None, [2.0, -1e-300, None, "x", "0.5"]),
@@ -150,20 +148,10 @@ def test_exact_and_numpy_reals_stay_accepted_as_probabilities(call):
     assert ScreeningTest(Fraction(9, 10), Decimal("0.8")) == ENTRY.test
 
 
-#: Each call that reads a number through ``float``, given an int beyond float range.
-BEYOND_FLOAT_CALLS = {
-    **{f"{name}-phi": call for name, call in PREVALENCE_CALLS.items()},
-    "ScreeningTest-sensitivity": lambda big: ScreeningTest(big, 0.5),
-    "ScreeningTest-specificity": lambda big: ScreeningTest(0.5, big),
-    "auc_quadrature-tol": lambda big: auc_quadrature(ENTRY.test, tol=big),
-    "compare_tests-eps_tol": lambda big: compare_tests(ENTRY.test, ENTRY.test, eps_tol=big),
-}
-
-
-@pytest.mark.parametrize("call", BEYOND_FLOAT_CALLS.values(), ids=BEYOND_FLOAT_CALLS.keys())
+@pytest.mark.parametrize("call", PREVALENCE_CALLS.values(), ids=PREVALENCE_CALLS.keys())
 @pytest.mark.parametrize("big", [10**400, -10**400, Fraction(10**400, 3)],
                          ids=["int", "-int", "fraction"])
-def test_a_number_beyond_float_range_is_refused(call, big):
+def test_a_prevalence_beyond_float_range_is_refused(call, big):
     # float() of each raises OverflowError, which once escaped bare.
-    with pytest.raises(ParameterError, match=r"must (lie in \[0, 1\]|be a finite number)"):
+    with pytest.raises(ParameterError, match=r"^phi(s\[0\])? must lie in \[0, 1\], got "):
         call(big)
