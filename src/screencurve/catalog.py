@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import ScreeningTest, _Record
+from .core import ScreeningTest, _Record, _shown
 from .errors import ParameterError, ParseError
 
 __all__ = ["HEADER", "CatalogEntry", "parse_catalog", "emit_catalog"]
@@ -33,7 +33,7 @@ class CatalogEntry(_Record):
     def _check(name: str, value):
         kind, noun = _KINDS[name]
         if not isinstance(value, kind):
-            raise ParameterError(f"{name} must be {noun}, got {value!r}")
+            raise ParameterError(f"{name} must be {noun}, got {_shown(value)}")
         return value
 
 

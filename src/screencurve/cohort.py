@@ -64,7 +64,7 @@ import math
 import sys
 from typing import Sequence
 
-from .core import ScreeningTest, _Record, _require_int, _require_probability
+from .core import ScreeningTest, _Record, _require_int, _require_probability, _shown
 from .errors import AbsentEstimateError, ParameterError
 
 __all__ = [
@@ -276,7 +276,7 @@ def _tally_swar(seed: int, cutoffs: tuple[int, int, int], lo: int, hi: int):
 
 def _normalize_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
+        raise ParameterError(f"seed must be an integer, got {_shown(seed)}")
     return seed % (1 << 64)
 
 
@@ -393,7 +393,8 @@ def empirical_ppv_curve(
     try:
         phis = iter(phis)
     except TypeError:
-        raise ParameterError(f"phis must be an iterable of probabilities, got {phis!r}") from None
+        raise ParameterError(
+            f"phis must be an iterable of probabilities, got {_shown(phis)}") from None
     prevalences = [_require_probability(f"phis[{k}]", p) for k, p in enumerate(phis)]
 
     points: list[EmpiricalPoint] = []

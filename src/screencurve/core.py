@@ -28,6 +28,19 @@ from .errors import IndeterminateError, ParameterError
 __all__ = ["ScreeningTest", "CurvePoint", "epsilon", "ppv", "curve_samples"]
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message; an int too long for text shows its type and digit count."""
+    try:
+        return repr(value)
+    except ValueError:  # CPython's int-to-text limit (sys.get_int_max_str_digits)
+        if not isinstance(value, int):
+            return f"{type(value).__name__} too long to show"
+        # 2^(b-1) <= |value| < 2^b, so its digits are those of 2^(b-1) or one more.
+        whole = abs(value)
+        digits = int((whole.bit_length() - 1) * 0.30102999566398120) + 1
+        return f"{type(value).__name__} of {digits + (whole >= 10**digits)} digits"
+
+
 def _require_probability(name: str, value: float) -> float:
     """Validate a probability-like argument, returning it as a float."""
     # numpy.bool_ (named "bool" since numpy 2) is not a bool subclass; matching
@@ -36,22 +49,22 @@ def _require_probability(name: str, value: float) -> float:
     # record built, each ppv and cohort call), skip both checks.
     if type(value) is not float and (isinstance(value, (str, bytes, bytearray))
                                      or type(value).__name__ in ("bool", "bool_")):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
+        raise ParameterError(f"{name} must be a real number, got {_shown(value)}")
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a real number, got {value!r}") from None
+        raise ParameterError(f"{name} must be a real number, got {_shown(value)}") from None
     except OverflowError:  # an int or Fraction beyond float range
-        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}") from None
+        raise ParameterError(f"{name} must lie in [0, 1], got {_shown(value)}") from None
     if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
-        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
+        raise ParameterError(f"{name} must lie in [0, 1], got {_shown(value)}")
     return value + 0.0  # -0.0 becomes +0.0; every other value is unchanged
 
 
 def _require_int(name: str, value: int, minimum: int) -> int:
     """Validate an integer argument of at least ``minimum``, returning it."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -59,7 +72,7 @@ def _require_real(name: str, value: float, minimum: float) -> None:
     """Validate an int or float (not a bool) of at least ``minimum`` that a float holds finite."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (real and minimum <= value <= sys.float_info.max):  # an int compares exactly
-        raise ParameterError(f"{name} must be a finite number >= {minimum:g}, got {value!r}")
+        raise ParameterError(f"{name} must be a finite number >= {minimum:g}, got {_shown(value)}")
 
 
 def _ppv(a: float, c: float, phi: float) -> float | None:
@@ -77,8 +90,11 @@ def _grid(n: int) -> tuple[float, ...]:
 
     One immutable tuple per size, shared by every caller.  The grids of the
     last two sizes asked for stay in memory (two, so that a run alternating
-    the curve's and the plot's sample counts builds neither again), as
-    ``svgplot._x_template`` keeps the last size's x columns.
+    the curve's and the plot's sample counts builds neither again).  Other
+    per-size state: ``svgplot._x_template`` keeps the last size's x columns,
+    and ``emit._phi_column`` the last two sizes' CSV phi column text with a
+    grid of its own, so that checking a hand-built list against it touches
+    no entry here.
     """
     # k <= n-1 and division rounds monotonically, so 0 <= phi <= 1.
     last = n - 1

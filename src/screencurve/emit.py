@@ -12,14 +12,21 @@ test report, a comparison, a simulated cohort) in both forms.  A JSON
 record is the object of its type's declared fields, in declaration order.
 The text of a test report or a cohort is that payload with one label per
 key (``report_text``), so it prints the JSON's own reasons.
+
+The phi column of an n-row curve CSV on ``curve_samples``' grid is the same
+text on every call.  ``_phi_column`` keeps it, with a copy of the grid to
+check a list against, for the last two sizes written; each call formats only
+the rho values.  The bytes are those of formatting every value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import CurvePoint
+from .core import CurvePoint, _grid
+from .errors import ParameterError
 
 if TYPE_CHECKING:
     from .analysis import ComparisonReport, TestReport
@@ -193,18 +200,71 @@ def emit_report(report: TestReport | ComparisonReport | CohortResult) -> str:
     return render_json(_payload(report)) + "\n"
 
 
+@functools.lru_cache(maxsize=2)
+def _phi_column(n: int) -> tuple[list[float], tuple[str, ...], str]:
+    """The n-sample grid, each row's ``"phi,"`` text, and the document's template.
+
+    The template is the header and a ``"phi,%.12g"`` row per sample.  The
+    grid is a copy of ``_grid``'s (``__wrapped__`` builds it), so checking a
+    list that is not on it builds or evicts no entry of ``_grid``.
+    """
+    grid = list(_grid.__wrapped__(n))
+    bare = tuple(["%.12g," % phi for phi in grid])
+    return grid, bare, "phi,ppv\n" + "".join([f"{row}%.12g\n" for row in bare])
+
+
+def _on_grid(points: list | tuple) -> str | None:
+    """The CSV of ``points`` if float() of their phis is a sample grid, else None."""
+    if len(points) < 2:
+        return None
+    try:
+        phis = list(map(float, [point.phi for point in points]))
+        rhos = [point.rho for point in points]
+    except Exception:  # emit_curve_csv's loop reads again and raises in its order
+        return None
+    grid, bare, template = _phi_column(len(points))
+    # -0.0 == 0.0 but prints "-0"; every later grid value is positive.
+    if phis != grid or math.copysign(1.0, phis[0]) < 0.0:
+        return None
+    try:
+        return template % tuple(map(float, rhos))
+    except TypeError:  # float(None) at a 0/0 row, or a rho float() refuses
+        values = tuple(map(float, [rho for rho in rhos if rho is not None]))
+    rows = [row if rho is None else f"{row}%.12g" for row, rho in zip(bare, rhos)]
+    return ("phi,ppv\n" + "\n".join(rows) + "\n") % values
+
+
 def emit_curve_csv(samples: Iterable[CurvePoint]) -> str:
-    """CSV rows ``phi,ppv`` with an empty ppv field where the value is 0/0."""
-    # One pattern per row and one "%" over the whole document: each value is
-    # format_real's "%.12g" of float(value).  A point's rho is converted before
-    # its phi, so a point with two bad fields raises rho's error.
+    """CSV rows ``phi,ppv`` with an empty ppv field where the value is 0/0.
+
+    Each value is ``format_real``'s ``%.12g`` of ``float(value)``.  A point's
+    rho is converted before its phi, so a point with two bad fields raises
+    rho's error.  A list or tuple whose phis are the grid of ``curve_samples``
+    takes its phi column from text kept per size.
+
+    Raises:
+        ParameterError: if ``samples`` is not iterable, or an item has no
+            ``phi`` or ``rho``.
+    """
+    if type(samples) in (list, tuple) and (text := _on_grid(samples)) is not None:
+        return text
+    try:
+        points = iter(samples)
+    except TypeError:
+        raise ParameterError(
+            f"samples must be an iterable of curve points, got {type(samples).__name__}") from None
+    # One pattern per row and one "%" over the whole document.
     rows, values = ["phi,ppv"], []
-    for point in samples:
-        if point.rho is None:
-            rows.append("%.12g,")
-            values.append(float(point.phi))
-        else:
-            rho = float(point.rho)
-            rows.append("%.12g,%.12g")
-            values += (float(point.phi), rho)
+    for point in points:
+        try:
+            if point.rho is None:
+                rows.append("%.12g,")
+                values.append(float(point.phi))
+            else:
+                rho = float(point.rho)
+                rows.append("%.12g,%.12g")
+                values += (float(point.phi), rho)
+        except AttributeError:
+            raise ParameterError(f"samples[{len(rows) - 1}] must be a curve point with phi and "
+                                 f"rho, got {type(point).__name__}") from None
     return ("\n".join(rows) + "\n") % tuple(values)

@@ -62,7 +62,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import ScreeningTest, _Record, _require_probability
+from .core import ScreeningTest, _Record, _require_probability, _shown
 from .errors import (
     DegenerateAngleError,
     DegenerateTestError,
@@ -104,7 +104,7 @@ def _open_range(default: float = math.inf, **uppers: float):
     def check(name: str, value: float) -> float:
         upper = uppers.get(name, default)
         if type(value) is bool or not (isinstance(value, (int, float)) and 0.0 < value < upper):
-            raise ParameterError(f"{name} must lie in (0, {upper:g}), got {value!r}")
+            raise ParameterError(f"{name} must lie in (0, {upper:g}), got {_shown(value)}")
         return value
 
     return staticmethod(check)

@@ -40,7 +40,7 @@ import math
 import re
 
 from .catalog import CatalogEntry
-from .core import _grid, _Record, _require_int, _rhos
+from .core import _grid, _Record, _require_int, _rhos, _shown
 from .errors import DegenerateTestError, ParameterError
 from .geometry import _derive
 
@@ -90,15 +90,16 @@ class PlotSpec(_Record):
             return _require_int(name, value, _MINIMUM[name])
         if name != "entries":
             if not isinstance(value, bool):
-                raise ParameterError(f"{name} must be True or False, got {value!r}")
+                raise ParameterError(f"{name} must be True or False, got {_shown(value)}")
             return value
         if not isinstance(value, tuple):
-            raise ParameterError(f"entries must be a tuple of CatalogEntry records, got {value!r}")
+            raise ParameterError(
+                f"entries must be a tuple of CatalogEntry records, got {_shown(value)}")
         if not value:
             raise ParameterError("a plot needs at least one catalog entry")
         for entry in value:
             if not isinstance(entry, CatalogEntry):
-                raise ParameterError(f"entries must be CatalogEntry records, got {entry!r}")
+                raise ParameterError(f"entries must be CatalogEntry records, got {_shown(entry)}")
             if re.search(_NOT_XML_CHAR, entry.name):
                 raise ParameterError(f"name {entry.name!r} holds a character XML 1.0 cannot hold")
         return value

@@ -107,6 +107,18 @@ def ppv_odds_form(a: float, b: float, phi: float) -> float:
     return posterior_odds / (1.0 + posterior_odds)
 
 
+def curve_csv(rows) -> str:
+    """The curve CSV written row by row from (phi, rho) pairs.
+
+    Each value is ``"%.12g" % float(value)``; a rho of None leaves its field
+    empty.  No template, no cache.
+    """
+    lines = ["phi,ppv"]
+    for phi, rho in rows:
+        lines.append("%.12g," % float(phi) + ("" if rho is None else "%.12g" % float(rho)))
+    return "\n".join(lines) + "\n"
+
+
 def grid_gaps(first: tuple[float, float], second: tuple[float, float],
               points: int = 1000) -> list[float]:
     """Curve gaps rho_second - rho_first on an interior grid of prevalences.

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,10 @@ from screencurve import (
     render_json,
     simulate_cohort,
 )
+from screencurve.core import _grid
 from screencurve.emit import report_text
 
-from _oracles import AUC_9575, PHI_E_9575
+from _oracles import AUC_9575, PHI_E_9575, curve_csv
 
 
 class TestParseCatalog:
@@ -400,3 +402,94 @@ class TestEmitCurveCsv:
         assert digest.hexdigest() == (
             "7f511329cacf720550aa3cd9d63c0d60304423d16eae22d3b36893e171cea5ca"
         )
+
+
+def phi_rho(points):
+    return [(point.phi, point.rho) for point in points]
+
+
+def on_grid(n, rho=0.5):
+    """Duck-typed points on the n-sample grid, each with ``rho``."""
+    return [SimpleNamespace(phi=k / (n - 1), rho=rho) for k in range(n)]
+
+
+class TestCurveCsvPhiColumn:
+    """A list on curve_samples' grid takes its phi column from kept text; the
+    bytes are those of a row-by-row writer for every kind of input."""
+
+    @settings(max_examples=200)
+    @given(
+        a=st.one_of(st.sampled_from([0.0, 5e-324, 1e-40, 1.0]), st.floats(0.0, 1.0)),
+        b=st.one_of(st.sampled_from([0.0, 1.0 - 2**-53, 1.0]), st.floats(0.0, 1.0)),
+        n=st.sampled_from([2, 3, 5, 101, 257]),
+    )
+    def test_matches_a_row_by_row_writer(self, a, b, n):
+        points = curve_samples(ScreeningTest(a, b), n)
+        expected = curve_csv(phi_rho(points))
+        assert emit_curve_csv(points) == expected
+        assert emit_curve_csv(tuple(points)) == expected
+        assert emit_curve_csv(point for point in points) == expected
+
+    def test_hand_built_points_equal_to_a_grid(self):
+        points = curve_samples(ScreeningTest(0.9, 0.8), 101)
+        built = [CurvePoint(k / 100, point.rho) for k, point in enumerate(points)]
+        assert emit_curve_csv(built) == emit_curve_csv(points) == curve_csv(phi_rho(points))
+
+    def test_a_negative_zero_phi_keeps_its_sign(self):
+        points = on_grid(5)
+        points[0].phi = -0.0
+        assert emit_curve_csv(points) == "phi,ppv\n-0,0.5\n0.25,0.5\n0.5,0.5\n0.75,0.5\n1,0.5\n"
+
+    def test_a_rho_held_as_text_goes_through_float(self):
+        class Quarter(float):
+            def __float__(self):
+                return 0.25
+
+        assert emit_curve_csv(on_grid(2, rho=Quarter(0.5))) == "phi,ppv\n0,0.25\n1,0.25\n"
+        points = on_grid(3, rho="0.25")
+        points[1].rho = None
+        assert emit_curve_csv(points) == "phi,ppv\n0,0.25\n0.5,\n1,0.25\n"
+        points[2].rho = "x"
+        with pytest.raises(ValueError, match="could not convert") as caught:
+            emit_curve_csv(points)
+        assert type(caught.value) is ValueError
+
+    def test_undefined_rows_inside_the_grid(self):
+        # a * phi underflows to 0 below phi = 0.5, a 0/0 with specificity 1.
+        points = curve_samples(ScreeningTest(5e-324, 1.0), 101)
+        lines = emit_curve_csv(points).splitlines()
+        assert lines[1:3] == ["0,", "0.01,"] and lines[-1] == "1,1"
+        assert 2 < lines.index("0.5,") < 100
+        assert "\n".join(lines) + "\n" == curve_csv(phi_rho(points))
+
+    def test_sizes_in_alternating_order(self):
+        test = ScreeningTest(0.95, 0.75)
+        for n in (101, 257, 3, 101, 2, 257, 101, 5, 3):
+            points = curve_samples(test, n)
+            assert emit_curve_csv(points) == curve_csv(phi_rho(points))
+
+    def test_a_list_off_the_grid_leaves_the_shared_grids_alone(self):
+        curve_samples(ScreeningTest(0.9, 0.8), 101)
+        kept = _grid.cache_info()
+        for points in ([CurvePoint(0.1 * k, 0.5) for k in range(11)],  # 0.1 * 3 != 3 / 10
+                       [CurvePoint(phi, None) for phi in (0.0, 0.7, 0.2, 1.0)],
+                       on_grid(7)[::-1]):
+            assert emit_curve_csv(points) == curve_csv(phi_rho(points))
+        assert _grid.cache_info() == kept
+
+    @pytest.mark.parametrize("samples, pattern", [
+        ([1, 2], r"^samples\[0\] must be a curve point with phi and rho, got int$"),
+        ([CurvePoint(0.0, 0.0), None], r"^samples\[1\] .* got NoneType$"),
+        ((point for point in [CurvePoint(0.0, None), "x"]), r"^samples\[1\] .* got str$"),
+        (5, r"^samples must be an iterable of curve points, got int$"),
+    ], ids=["ints", "none", "generator", "int"])
+    def test_what_is_not_a_curve_point_is_refused_by_name(self, samples, pattern):
+        with pytest.raises(ParameterError, match=pattern):
+            emit_curve_csv(samples)
+
+    def test_a_rho_error_comes_before_its_phi_error(self):
+        # float([]) raises TypeError for the rho; the phi's text, ValueError.
+        for points in ([SimpleNamespace(phi="x", rho=[])],
+                       on_grid(3)[:2] + [SimpleNamespace(phi="x", rho=[])]):
+            with pytest.raises(TypeError):
+                emit_curve_csv(points)

@@ -23,7 +23,9 @@ from screencurve import (
     PlotSpec,
     ScreeningTest,
     ThresholdPoint,
+    auc_quadrature,
     chords_at,
+    curve_samples,
     empirical_ppv_curve,
     lr_positive_from_chords,
     ppv,
@@ -155,3 +157,57 @@ def test_a_prevalence_beyond_float_range_is_refused(call, big):
     # float() of each raises OverflowError, which once escaped bare.
     with pytest.raises(ParameterError, match=r"^phi(s\[0\])? must lie in \[0, 1\], got "):
         call(big)
+
+
+#: Past CPython's 4300-digit limit on int-to-text conversion, so repr() of it raises.
+HUGE = 10**5000
+
+#: Calls given a value repr() cannot show, and the whole message each raises.
+UNSHOWABLE = {
+    "ScreeningTest": (lambda: ScreeningTest(HUGE, 0.5),
+                      "sensitivity must lie in [0, 1], got int of 5001 digits"),
+    "ScreeningTest-fraction": (lambda: ScreeningTest(0.5, Fraction(HUGE, 3)),
+                               "specificity must lie in [0, 1], got Fraction too long to show"),
+    "curve_samples": (lambda: curve_samples(ENTRY.test, -HUGE),
+                      "n must be an integer >= 2, got int of 5001 digits"),
+    "simulate_cohort": (lambda: simulate_cohort(ENTRY.test, 0.5, -HUGE, 1),
+                        "n must be an integer >= 1, got int of 5001 digits"),
+    "simulate_cohort-seed": (lambda: simulate_cohort(ENTRY.test, 0.5, 10, Fraction(HUGE, 3)),
+                             "seed must be an integer, got Fraction too long to show"),
+    "auc_quadrature": (lambda: auc_quadrature(ENTRY.test, tol=HUGE),
+                       "tol must be a finite number >= 1e-13, got int of 5001 digits"),
+    "empirical_ppv_curve": (lambda: empirical_ppv_curve(ENTRY.test, -HUGE, 10, 1),
+                            "phis must be an iterable of probabilities, got int of 5001 digits"),
+    "CatalogEntry": (lambda: CatalogEntry(10**4300, ENTRY.test),
+                     "name must be a string, got int of 4301 digits"),
+    "ThresholdPoint": (lambda: ThresholdPoint(HUGE, 0.5),
+                       "phi_e must lie in (0, 1), got int of 5001 digits"),
+    "PlotSpec-entries": (lambda: PlotSpec(HUGE),
+                         "entries must be a tuple of CatalogEntry records, got int of 5001 digits"),
+    "PlotSpec-entry": (lambda: PlotSpec((HUGE,)),
+                       "entries must be CatalogEntry records, got int of 5001 digits"),
+    "PlotSpec-flag": (lambda: PlotSpec((ENTRY,), show_beta=HUGE),
+                      "show_beta must be True or False, got int of 5001 digits"),
+}
+
+
+@pytest.mark.parametrize("call, message", UNSHOWABLE.values(), ids=UNSHOWABLE.keys())
+def test_a_value_too_long_to_show_is_refused_by_its_type(call, message):
+    # Building the message once raised a bare ValueError from repr().
+    with pytest.raises(ParameterError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ScreeningTest(1.5, 0.5), "sensitivity must lie in [0, 1], got 1.5"),
+    (lambda: ScreeningTest("x", 0.5), "sensitivity must be a real number, got 'x'"),
+    (lambda: curve_samples(ENTRY.test, 1 - 10**4300),  # 4300 digits: repr() shows it
+     f"n must be an integer >= 2, got -{'9' * 4300}"),
+    (lambda: auc_quadrature(ENTRY.test, tol="1e-10"),
+     "tol must be a finite number >= 1e-13, got '1e-10'"),
+], ids=["range", "text", "long-int", "tolerance"])
+def test_a_value_repr_can_show_is_shown_by_its_repr(call, message):
+    with pytest.raises(ParameterError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from test_core import REFUSE_NUMPY
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "screencurve"
 
@@ -108,15 +110,27 @@ def test_no_source_line_is_over_100_characters():
 DIGEST = "058ec8328bb928f04f7e36143119fb22662f60c5526a21c080ad729e7fd41aaf"
 
 
-def test_digest_prints_one_sha256_line_the_same_on_two_runs():
+def digest_env():
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+
+
+def test_digest_prints_one_sha256_line_the_same_on_two_runs():
     command = [sys.executable, str(ROOT / "tools" / "digest.py")]
     runs = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                             env=env) for _ in range(2)]
+                             env=digest_env()) for _ in range(2)]
     outputs = [run.communicate(timeout=120) for run in runs]
     assert [(run.returncode, err) for run, (_, err) in zip(runs, outputs)] == [(0, "")] * 2
     first, second = (out for out, _ in outputs)
     assert re.fullmatch(r"[0-9a-f]{64}\n", first)
     assert second == first
     assert first == DIGEST + "\n"
+
+
+def test_digest_is_the_same_without_numpy():
+    # The numpy kernel's slot takes the SWAR kernel's counts, which are the same.
+    script = REFUSE_NUMPY + (f"import runpy\nrunpy.run_path({str(ROOT / 'tools' / 'digest.py')!r})"
+                             "['main']()\nassert refused == ['numpy'], refused\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=digest_env(), timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", DIGEST + "\n")
